@@ -6,8 +6,8 @@ use fedms_data::{DirichletPartitioner, SynthVisionConfig};
 use fedms_nn::LrSchedule;
 use fedms_sim::{
     EngineConfig, FaultPlan, FaultSpec, LocalTransport, ModelSpec, NetModel, NetTransport,
-    Partitions, RecoveryPolicy, ResilientTransport, RunResult, SimulationEngine, ThreatSchedule,
-    Topology, Transport, UploadStrategy,
+    Partitions, RecoveryPolicy, RunResult, SimulationEngine, ThreatSchedule, Topology, Transport,
+    UploadStrategy,
 };
 use fedms_tensor::rng::derive_seed;
 use fedms_tensor::BackendKind;
@@ -108,7 +108,7 @@ pub struct FedMsConfig {
     pub cohort: usize,
     /// The delivery substrate: the synchronous in-process transport (the
     /// default, and the CI oracle) or the concurrent message-passing
-    /// transport with per-server actors exchanging wire frames under
+    /// transport moving wire frames through an actor thread under
     /// [`FedMsConfig::net_model`].
     #[serde(default)]
     pub transport: TransportKind,
@@ -153,8 +153,8 @@ pub enum TransportKind {
     /// The synchronous in-process [`LocalTransport`] — the CI oracle.
     #[default]
     Local,
-    /// The concurrent message-passing [`NetTransport`]: per-server actors
-    /// exchanging versioned wire frames over bounded channels, under the
+    /// The concurrent message-passing [`NetTransport`]: versioned wire
+    /// frames moved over a bounded channel to a decoding actor, under the
     /// config's [`FedMsConfig::net_model`].
     Net,
 }
@@ -402,17 +402,7 @@ impl FedMsConfig {
             let plan = FaultPlan::sample(&self.fault, self.servers, self.seed)?;
             base.install_fault_plan(plan)?;
         }
-        if self.recovery.is_disabled() {
-            Ok(Box::new(base))
-        } else {
-            Ok(Box::new(ResilientTransport::new(
-                base,
-                self.recovery,
-                self.seed,
-                self.clients,
-                self.servers,
-            )?))
-        }
+        Ok(self.recovery.wrap(base, self.seed, self.clients, self.servers)?)
     }
 
     /// A stable 64-bit content hash of the full configuration (FNV-1a over

@@ -9,7 +9,6 @@ use fedms_tensor::pool::{BufferPool, PoolStats};
 use fedms_tensor::rng::{derive_seed, rng_for};
 use fedms_tensor::Tensor;
 
-use crate::recovery::ResilientTransport;
 use crate::store::{ClientStore, Partitions};
 use crate::transport::{LocalTransport, Transport};
 use crate::{
@@ -240,22 +239,12 @@ impl SimulationEngine {
             client_attack_slots[id] = Some(attack);
         }
 
-        // The base transport, wrapped in the recovery layer whenever the
-        // policy actually changes delivery behaviour (a disabled policy is
-        // bit-identical, but keeping the decorator out preserves the
-        // "trivial config = trivial machinery" invariant).
-        let local = LocalTransport::new(config.seed, topo.num_clients(), topo.num_servers());
-        let transport: Box<dyn Transport> = if config.recovery.is_disabled() {
-            Box::new(local)
-        } else {
-            Box::new(ResilientTransport::new(
-                local,
-                config.recovery,
-                config.seed,
-                topo.num_clients(),
-                topo.num_servers(),
-            )?)
-        };
+        let transport = config.recovery.wrap(
+            LocalTransport::new(config.seed, topo.num_clients(), topo.num_servers()),
+            config.seed,
+            topo.num_clients(),
+            topo.num_servers(),
+        )?;
 
         let estimator = config
             .estimator

@@ -20,9 +20,10 @@
 //!   [`Upload`]/[`Broadcast`] protocol messages, delivery outcomes,
 //!   fault realization and all [`CommStats`] accounting,
 //! * [`net::NetTransport`] — the concurrent message-passing transport:
-//!   per-server actors exchanging versioned wire frames over bounded
-//!   channels (or loopback TCP), under a seed-deterministic
-//!   latency/bandwidth model ([`net::NetModel`]),
+//!   versioned wire frames moved to a decoding actor over a bounded
+//!   channel (or loopback TCP), under a seed-deterministic
+//!   latency/bandwidth model ([`net::NetModel`]); both transports decide
+//!   every message fate through one shared delivery core,
 //! * [`ResilientTransport`] / [`RecoveryPolicy`] — the recovery layer:
 //!   deadline-driven retries with seed-deterministic backoff, and upload
 //!   failover to alternate servers, layered over any transport,
@@ -42,6 +43,7 @@
 
 mod client;
 mod comm;
+mod delivery;
 mod engine;
 mod error;
 mod events;

@@ -8,15 +8,17 @@
 //! * [`model`] — the seed-deterministic latency/bandwidth/jitter model
 //!   ([`NetModel`]; [`NetModel::ideal`] is the zero-delay oracle
 //!   configuration),
-//! * [`transport`] — [`NetTransport`]: per-server uplink actors and a
-//!   downlink router exchanging frames over bounded in-process channels,
+//! * [`transport`] — [`NetTransport`]: frames moved over a bounded
+//!   in-process channel to one decoding actor, every fate decided by the
+//!   delivery core `LocalTransport` shares,
 //! * [`tcp`] — the loopback-TCP mode behind `fedms serve` /
 //!   `fedms client` ([`TcpRound`], [`run_client`]).
 //!
 //! The contract that keeps all of this honest: under [`NetModel::ideal`]
 //! a `NetTransport` round produces the same delivered-message multiset and
-//! [`crate::CommStats`] totals as [`crate::LocalTransport`]
-//! (property-tested in `crates/sim/tests/net.rs`), while a non-trivial
+//! [`crate::CommStats`] totals as [`crate::LocalTransport`] — by
+//! construction, since both run the same delivery core, and guarded by
+//! the property tests in `crates/sim/tests/net.rs` — while a non-trivial
 //! model makes straggler and deadline-miss outcomes *emerge* from delay
 //! arithmetic instead of fault injection.
 

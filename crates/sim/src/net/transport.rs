@@ -1,51 +1,51 @@
-//! [`NetTransport`]: concurrent message-passing over in-process channels.
+//! [`NetTransport`]: concurrent message-passing over an in-process channel.
 //!
-//! Unlike [`crate::LocalTransport`] — a synchronous bookkeeping structure —
-//! this transport actually *moves messages between threads*: every server
-//! runs as its own actor consuming length-prefixed
-//! [`Frame`](crate::net::Frame)s from a bounded channel (backpressure: a
-//! sender that outruns a server blocks), and one downlink-router actor
-//! owns the queued disseminations and realizes each client's downlink on
-//! request. Uploads to the same server are coalesced into
-//! `Frame::UploadBatch` frames (flushed at the batch bound or when the
-//! inbox is taken), which is where the frames/s vs bytes/s trade-off of
-//! the bench lives.
+//! Unlike [`crate::LocalTransport`], which hands payloads over in memory,
+//! this transport actually *moves messages between threads*: every upload
+//! and dissemination is encoded as a length-prefixed
+//! [`Frame`](crate::net::Frame) and sent over a bounded channel
+//! (backpressure: a sender that outruns the actor blocks) to one
+//! frame-decoding actor, which keeps each server's uplink inbox and the
+//! round's broadcast queue until they are asked for. Uploads to the same
+//! server are coalesced into `Frame::UploadBatch` frames (flushed at the
+//! batch bound or when the inbox is taken), which is where the frames/s vs
+//! bytes/s trade-off of the bench lives.
 //!
-//! Determinism: message *content* and *fate* never depend on thread
-//! scheduling. All loss draws (the `"DROP"`/`"OMIT"` streams shared with
-//! `LocalTransport`) happen in protocol order — uplink draws on the
-//! sending side in send order, downlink draws inside the router in drain
-//! order — and the [`NetModel`] delay draws are pure functions of
-//! `(seed, round, link)`. Server inboxes sort stably by modelled arrival
-//! time, so under [`NetModel::ideal`] (all delays zero) the inbox order
-//! is send order and a round is message-for-message and counter-for-
-//! counter identical to `LocalTransport` (property-tested in
+//! The actor moves and decodes frames; it decides nothing. Every fate —
+//! loss draws, crashes, stragglers, partitions, the [`NetModel`]'s
+//! deadline misses and server lag — is decided on the caller's thread by
+//! the delivery core that `LocalTransport` runs too, and the broadcast
+//! queue comes back from the actor once per round, not once per client.
+//! Message *content* and *fate* therefore never depend on thread
+//! scheduling. Server inboxes sort stably by modelled arrival time, so
+//! under [`NetModel::ideal`] (all delays zero) the inbox order is send
+//! order and a round is message-for-message and counter-for-counter
+//! identical to `LocalTransport` (property-tested in
 //! `crates/sim/tests/net.rs`). Under a non-trivial model, stragglers and
 //! deadline misses *emerge* from the delay arithmetic instead of being
 //! injected by a [`FaultPlan`].
 
-use std::collections::VecDeque;
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
 use std::thread::JoinHandle;
 
+use fedms_tensor::pool::BufferPool;
 use fedms_tensor::rng::rng_for;
 use fedms_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::Rng;
 
+use crate::delivery::DeliveryCore;
 use crate::net::model::NetModel;
 use crate::net::wire::{decode_frame, encode_frame, BatchedUpload, Frame, WireError};
-use crate::recovery::{downlink_id, uplink_id, UploadReport};
+use crate::recovery::UploadReport;
 use crate::threat::NetThreat;
-use crate::transport::{
-    Broadcast, Delivery, DeliveryOutcome, Dissemination, Transport, Upload, DROP_LABEL, OMIT_LABEL,
-};
-use crate::{CommStats, FaultPlan, Result, SimError};
+use crate::transport::{Broadcast, Delivery, DeliveryOutcome, Transport, Upload};
+use crate::{CommStats, FaultPlan, Result};
 
 /// Default uploads coalesced per frame.
 const DEFAULT_COALESCE: usize = 8;
-/// Default bound of each actor channel (frames in flight before the
-/// sender blocks).
+/// Default bound of the actor channel (frames in flight before the sender
+/// blocks).
 const DEFAULT_CHANNEL_BOUND: usize = 64;
 /// RNG label for threat-injected frame corruption ("CRPT").
 const CORRUPT_LABEL: u64 = 0x43_52_50_54;
@@ -65,59 +65,54 @@ pub struct NetStats {
     pub corrupted_frames: u64,
 }
 
-enum ServerMsg {
+/// The actor's answer to a request: what it decoded, plus the first decode
+/// error it met since its previous answer.
+type Reply<T> = Sender<(T, Option<WireError>)>;
+
+enum ActorMsg {
     Begin { round: usize },
     Frame(Vec<u8>),
-    TakeInbox { reply: Sender<InboxReply> },
+    TakeInbox { server: usize, reply: Reply<Vec<Tensor>> },
+    TakeBroadcasts { reply: Reply<Vec<Broadcast>> },
     Shutdown,
 }
 
-struct InboxReply {
-    models: Vec<Tensor>,
-    error: Option<WireError>,
-}
-
-enum RouterMsg {
-    Begin { round: usize, omission: f64, duplicate: f64, lossy: bool, partitioned: Vec<usize> },
-    Frame(Vec<u8>),
-    Drain { client: usize, reply: Sender<DrainReply> },
-    Shutdown,
-}
-
-struct DrainReply {
-    deliveries: Vec<Delivery>,
-    dropped: u64,
-    duplicated: u64,
-    deadline_missed: u64,
-    error: Option<WireError>,
-}
-
-/// One server's uplink actor: decodes incoming frames into an inbox,
-/// ordered stably by modelled arrival time (ties keep receive order, which
-/// equals send order — bounded mpsc channels are FIFO).
-fn server_actor(rx: Receiver<ServerMsg>) {
+/// The frame actor: decodes each frame into its server's uplink inbox or
+/// the round's broadcast queue and hands them back on request. Inboxes are
+/// ordered stably by modelled arrival time; ties keep receive order, which
+/// equals send order because the bounded channel is FIFO.
+fn frame_actor(rx: Receiver<ActorMsg>, num_servers: usize) {
     let mut round = 0usize;
-    let mut entries: Vec<(u64, Tensor)> = Vec::new();
+    let mut inboxes: Vec<Vec<(u64, Tensor)>> = vec![Vec::new(); num_servers];
+    let mut broadcasts: Vec<Broadcast> = Vec::new();
     let mut error: Option<WireError> = None;
     while let Ok(msg) = rx.recv() {
         match msg {
-            ServerMsg::Begin { round: r } => {
+            ActorMsg::Begin { round: r } => {
                 round = r;
-                entries.clear();
+                inboxes.iter_mut().for_each(Vec::clear);
+                broadcasts.clear();
                 error = None;
             }
-            ServerMsg::Frame(bytes) => match decode_frame(&bytes) {
-                Ok((Frame::Upload { round: r, arrival_ms, model, .. }, _))
+            ActorMsg::Frame(bytes) => match decode_frame(&bytes) {
+                Ok((Frame::Upload { round: r, server, arrival_ms, model, .. }, _))
                     if r as usize == round =>
                 {
-                    entries.push((arrival_ms, model));
-                }
-                Ok((Frame::UploadBatch { round: r, uploads, .. }, _)) if r as usize == round => {
-                    for u in uploads {
-                        entries.push((u.arrival_ms, u.model));
+                    if let Some(inbox) = inboxes.get_mut(server as usize) {
+                        inbox.push((arrival_ms, model));
                     }
                 }
-                // Stale (previous-round) or non-uplink frames are dropped;
+                Ok((Frame::UploadBatch { round: r, server, uploads }, _))
+                    if r as usize == round =>
+                {
+                    if let Some(inbox) = inboxes.get_mut(server as usize) {
+                        inbox.extend(uploads.into_iter().map(|u| (u.arrival_ms, u.model)));
+                    }
+                }
+                Ok((Frame::Broadcast { round: r, server, model }, _)) if r as usize == round => {
+                    broadcasts.push(Broadcast { server: server as usize, model });
+                }
+                // Stale (previous-round) or non-protocol frames are dropped;
                 // channel FIFO ordering makes them unreachable from this
                 // crate, but a TCP peer could replay one.
                 Ok(_) => {}
@@ -125,192 +120,53 @@ fn server_actor(rx: Receiver<ServerMsg>) {
                     error.get_or_insert(e);
                 }
             },
-            ServerMsg::TakeInbox { reply } => {
-                let mut taken = std::mem::take(&mut entries);
+            ActorMsg::TakeInbox { server, reply } => {
+                let mut taken = std::mem::take(&mut inboxes[server]);
                 // Stable: equal arrival times keep send order, so the ideal
                 // model reproduces LocalTransport's send-order inbox.
                 taken.sort_by_key(|&(arrival, _)| arrival);
-                let _ = reply.send(InboxReply {
-                    models: taken.into_iter().map(|(_, m)| m).collect(),
-                    error: error.take(),
-                });
+                let models = taken.into_iter().map(|(_, m)| m).collect();
+                let _ = reply.send((models, error.take()));
             }
-            ServerMsg::Shutdown => break,
+            ActorMsg::TakeBroadcasts { reply } => {
+                let _ = reply.send((std::mem::take(&mut broadcasts), error.take()));
+            }
+            ActorMsg::Shutdown => break,
         }
     }
 }
 
-/// The downlink router actor: owns the queued disseminations and realizes
-/// each client's downlink — fault draws in LocalTransport's exact order,
-/// then the latency model's delay/deadline arithmetic.
-fn router_actor(rx: Receiver<RouterMsg>, seed: u64, model: NetModel) {
-    let mut round = 0usize;
-    let mut queued: Vec<(usize, Dissemination)> = Vec::new();
-    let mut omission = 0.0f64;
-    let mut duplicate = 0.0f64;
-    let mut partitioned: Vec<usize> = Vec::new();
-    let mut downlink_rng: Option<StdRng> = None;
-    let mut error: Option<WireError> = None;
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            RouterMsg::Begin { round: r, omission: o, duplicate: d, lossy, partitioned: p } => {
-                round = r;
-                queued.clear();
-                omission = o;
-                duplicate = d;
-                partitioned = p;
-                error = None;
-                // Derived exactly like LocalTransport::begin_round, and
-                // only when the plan is lossy, so the draw sequence across
-                // drains matches the oracle bit for bit.
-                downlink_rng = lossy.then(|| rng_for(seed, &[OMIT_LABEL, r as u64]));
-            }
-            RouterMsg::Frame(bytes) => match decode_frame(&bytes) {
-                Ok((Frame::Broadcast { round: r, server, model }, _)) if r as usize == round => {
-                    queued.push((server as usize, model));
-                }
-                Ok(_) => {}
-                Err(e) => {
-                    error.get_or_insert(e);
-                }
-            },
-            RouterMsg::Drain { client, reply } => {
-                let mut deliveries = Vec::with_capacity(queued.len());
-                let mut dropped = 0u64;
-                let mut duplicated = 0u64;
-                let mut deadline_missed = 0u64;
-                for (server, diss) in &queued {
-                    // Coverage is validated at broadcast; skip, not panic.
-                    let Ok(m) = diss.for_client(client) else {
-                        debug_assert!(false, "queued dissemination misses client {client}");
-                        continue;
-                    };
-                    // A partitioned server's dissemination never traverses
-                    // the link: dropped before any loss draw, so the draw
-                    // streams of surviving links are unaffected.
-                    if partitioned.contains(server) {
-                        dropped += 1;
-                        continue;
-                    }
-                    if let Some(rng) = &mut downlink_rng {
-                        if omission > 0.0 && rng.gen_bool(omission) {
-                            dropped += 1;
-                            continue;
-                        }
-                        let arrival = model.link_delay_ms(
-                            seed,
-                            round,
-                            downlink_id(*server, client),
-                            (m.as_slice().len() * 4) as u64,
-                        );
-                        if model.misses_deadline(arrival) {
-                            dropped += 1;
-                            deadline_missed += 1;
-                            continue;
-                        }
-                        deliveries.push(Delivery {
-                            server: *server,
-                            model: m.clone(),
-                            outcome: DeliveryOutcome::Delivered,
-                        });
-                        if duplicate > 0.0 && rng.gen_bool(duplicate) {
-                            duplicated += 1;
-                            deliveries.push(Delivery {
-                                server: *server,
-                                model: m.clone(),
-                                outcome: DeliveryOutcome::Duplicated,
-                            });
-                        }
-                    } else {
-                        let arrival = model.link_delay_ms(
-                            seed,
-                            round,
-                            downlink_id(*server, client),
-                            (m.as_slice().len() * 4) as u64,
-                        );
-                        if model.misses_deadline(arrival) {
-                            dropped += 1;
-                            deadline_missed += 1;
-                            continue;
-                        }
-                        deliveries.push(Delivery {
-                            server: *server,
-                            model: m.clone(),
-                            outcome: DeliveryOutcome::Delivered,
-                        });
-                    }
-                }
-                let _ = reply.send(DrainReply {
-                    deliveries,
-                    dropped,
-                    duplicated,
-                    deadline_missed,
-                    error: error.take(),
-                });
-            }
-            RouterMsg::Shutdown => break,
-        }
-    }
-}
-
-struct PendingUpload {
-    client: usize,
-    arrival_ms: u64,
-    model: Tensor,
-}
-
-/// The concurrent in-process transport: per-server uplink actors and a
-/// downlink router exchanging versioned wire frames over bounded channels,
+/// The concurrent in-process transport: the delivery core plus the wire —
+/// versioned frames moved over a bounded channel to a decoding actor,
 /// under a seed-deterministic [`NetModel`].
 pub struct NetTransport {
-    seed: u64,
-    num_clients: usize,
-    num_servers: usize,
-    model: NetModel,
+    core: DeliveryCore,
     coalesce: usize,
-    fault_plan: FaultPlan,
-    upload_drop_rate: f64,
-    round: usize,
-    model_len: usize,
-    recipients: usize,
-    pending_recipients: Option<usize>,
-    round_open: bool,
-    drop_rng: Option<StdRng>,
-    /// Network-layer slice of the active threat view ([`NetThreat`]):
-    /// which servers are cut off and how corrupt the wire is. Trivial
-    /// unless a [`crate::ThreatSchedule`] is driving the run.
-    net_threat: NetThreat,
     /// Per-frame corruption draws ("CRPT" stream); only instantiated while
-    /// `net_threat.corrupt_rate > 0`, so a trivial threat costs no RNG.
+    /// the threat's `corrupt_rate > 0`, so a trivial threat costs no RNG.
     corrupt_rng: Option<StdRng>,
-    uplinks: Vec<SyncSender<ServerMsg>>,
-    router: SyncSender<RouterMsg>,
-    handles: Vec<JoinHandle<()>>,
+    actor: SyncSender<ActorMsg>,
+    handle: Option<JoinHandle<()>>,
     /// Per-server coalescing buffers, flushed at the batch bound or on
     /// `take_inbox`.
-    pending: Vec<Vec<PendingUpload>>,
-    /// Straggler/lag outboxes, oldest first (same FIFO as LocalTransport).
-    outboxes: Vec<VecDeque<Tensor>>,
-    comm: CommStats,
+    pending: Vec<Vec<BatchedUpload>>,
+    /// Whether disseminations went out since the actor last handed its
+    /// broadcast queue back.
+    downlink_stale: bool,
     stats: NetStats,
     wire_error: Option<WireError>,
 }
 
 impl std::fmt::Debug for NetTransport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NetTransport")
-            .field("round", &self.round)
-            .field("clients", &self.num_clients)
-            .field("servers", &self.num_servers)
-            .field("ideal", &self.model.is_ideal())
-            .finish()
+        f.debug_struct("NetTransport").field("core", &self.core).finish()
     }
 }
 
 impl NetTransport {
     /// Creates a transport for a `num_clients` × `num_servers` federation
-    /// under `model`, spawning one uplink actor per server plus the
-    /// downlink router, with default coalescing and channel bounds.
+    /// under `model`, spawning its frame actor, with default coalescing and
+    /// channel bound.
     pub fn new(seed: u64, num_clients: usize, num_servers: usize, model: NetModel) -> Self {
         Self::with_options(
             seed,
@@ -324,7 +180,7 @@ impl NetTransport {
 
     /// [`NetTransport::new`] with explicit tuning: `coalesce` uploads per
     /// frame (≥ 1; 1 disables batching) and `channel_bound` frames in
-    /// flight per actor before senders block (backpressure).
+    /// flight to the actor before senders block (backpressure).
     pub fn with_options(
         seed: u64,
         num_clients: usize,
@@ -333,38 +189,16 @@ impl NetTransport {
         coalesce: usize,
         channel_bound: usize,
     ) -> Self {
-        let bound = channel_bound.max(1);
-        let mut uplinks = Vec::with_capacity(num_servers);
-        let mut handles = Vec::with_capacity(num_servers + 1);
-        for _ in 0..num_servers {
-            let (tx, rx) = sync_channel(bound);
-            uplinks.push(tx);
-            handles.push(std::thread::spawn(move || server_actor(rx)));
-        }
-        let (router, router_rx) = sync_channel(bound);
-        handles.push(std::thread::spawn(move || router_actor(router_rx, seed, model)));
+        let (actor, rx) = sync_channel(channel_bound.max(1));
+        let handle = std::thread::spawn(move || frame_actor(rx, num_servers));
         NetTransport {
-            seed,
-            num_clients,
-            num_servers,
-            model,
+            core: DeliveryCore::new(seed, num_clients, num_servers, model),
             coalesce: coalesce.max(1),
-            fault_plan: FaultPlan::none(),
-            upload_drop_rate: 0.0,
-            round: 0,
-            model_len: 0,
-            recipients: num_clients,
-            pending_recipients: None,
-            round_open: false,
-            drop_rng: None,
-            net_threat: NetThreat::default(),
             corrupt_rng: None,
-            uplinks,
-            router,
-            handles,
+            actor,
+            handle: Some(handle),
             pending: (0..num_servers).map(|_| Vec::new()).collect(),
-            outboxes: vec![VecDeque::new(); num_servers],
-            comm: CommStats::new(),
+            downlink_stale: false,
             stats: NetStats::default(),
             wire_error: None,
         }
@@ -372,7 +206,7 @@ impl NetTransport {
 
     /// The active network model.
     pub fn model(&self) -> &NetModel {
-        &self.model
+        self.core.model()
     }
 
     /// Cumulative frame-level traffic counters.
@@ -380,8 +214,8 @@ impl NetTransport {
         self.stats
     }
 
-    /// Takes the first wire decode error surfaced by any actor since the
-    /// last call, if one occurred. A healthy run never produces one.
+    /// Takes the first wire decode error the actor surfaced since the last
+    /// call, if one occurred. A healthy run never produces one.
     pub fn take_wire_error(&mut self) -> Option<WireError> {
         self.wire_error.take()
     }
@@ -395,7 +229,7 @@ impl NetTransport {
         let Some(rng) = &mut self.corrupt_rng else {
             return;
         };
-        if bytes.len() < 6 || !rng.gen_bool(self.net_threat.corrupt_rate) {
+        if bytes.len() < 6 || !rng.gen_bool(self.core.threat().corrupt_rate) {
             return;
         }
         // The version field is bytes 4..6 of the encoded frame; flipping
@@ -405,91 +239,73 @@ impl NetTransport {
         self.stats.corrupted_frames += 1;
     }
 
-    fn send_frame_to_server(&mut self, server: usize, frame: &Frame) {
+    fn send_frame(&mut self, frame: &Frame) {
         let mut bytes = encode_frame(frame);
         self.maybe_corrupt(&mut bytes);
         self.stats.frames_sent += 1;
         self.stats.frame_bytes += bytes.len() as u64;
         // A send can only fail if the actor died, which only happens at
         // shutdown; losing the frame then is fine.
-        let _ = self.uplinks[server].send(ServerMsg::Frame(bytes));
+        let _ = self.actor.send(ActorMsg::Frame(bytes));
     }
 
     fn flush_uplink(&mut self, server: usize) {
-        if self.pending[server].is_empty() {
-            return;
-        }
-        let pending = std::mem::take(&mut self.pending[server]);
-        let round = self.round as u32;
-        let frame = if pending.len() == 1 {
-            let u = pending.into_iter().next().expect("len checked");
-            Frame::Upload {
-                round,
-                client: u.client as u32,
-                server: server as u32,
-                arrival_ms: u.arrival_ms,
-                model: u.model,
+        let mut pending = std::mem::take(&mut self.pending[server]);
+        let (round, server) = (self.core.round() as u32, server as u32);
+        let frame = match pending.len() {
+            0 => return,
+            1 => {
+                let u = pending.pop().expect("len checked");
+                Frame::Upload {
+                    round,
+                    client: u.client,
+                    server,
+                    arrival_ms: u.arrival_ms,
+                    model: u.model,
+                }
             }
-        } else {
-            self.stats.coalesced_batches += 1;
-            Frame::UploadBatch {
-                round,
-                server: server as u32,
-                uploads: pending
-                    .into_iter()
-                    .map(|u| BatchedUpload {
-                        client: u.client as u32,
-                        arrival_ms: u.arrival_ms,
-                        model: u.model,
-                    })
-                    .collect(),
+            _ => {
+                self.stats.coalesced_batches += 1;
+                Frame::UploadBatch { round, server, uploads: pending }
             }
         };
-        self.send_frame_to_server(server, &frame);
+        self.send_frame(&frame);
     }
 
-    /// The accounting + loss draws of one upload attempt, in the exact
-    /// order of [`crate::LocalTransport::route_upload`], plus the network
-    /// model's delay/deadline arithmetic. Returns the realized fate and
-    /// the modelled arrival time.
-    fn route_net_upload(&mut self, client: usize, server: usize) -> (DeliveryOutcome, u64) {
-        self.comm.record_uploads(1, self.model_len);
-        let channel_loss = match &mut self.drop_rng {
-            Some(rng) => rng.gen_bool(self.upload_drop_rate),
-            None => false,
-        };
-        if channel_loss
-            || self.fault_plan.is_crashed(server, self.round)
-            || self.net_threat.is_partitioned(server)
-        {
-            self.comm.record_dropped_upload();
-            return (DeliveryOutcome::Dropped, 0);
+    /// Asks the actor for something it decoded, surfacing any decode error
+    /// it met meanwhile; `None` once the actor is gone.
+    fn ask<T>(&mut self, request: impl FnOnce(Reply<T>) -> ActorMsg) -> Option<T> {
+        let (reply, answer) = channel();
+        self.actor.send(request(reply)).ok()?;
+        let (decoded, error) = answer.recv().ok()?;
+        if let Some(e) = error {
+            self.wire_error.get_or_insert(e);
         }
-        let arrival = self.model.link_delay_ms(
-            self.seed,
-            self.round,
-            uplink_id(client, server),
-            (self.model_len * 4) as u64,
-        );
-        if self.model.misses_deadline(arrival) {
-            // The payload is in flight but too late for this round's
-            // aggregation: lost to the round, and a recorded miss.
-            self.comm.record_dropped_upload();
-            self.comm.record_deadline_miss();
-            return (DeliveryOutcome::Delayed, arrival);
-        }
-        (DeliveryOutcome::Delivered, arrival)
+        Some(decoded)
     }
 
+    /// Moves the broadcasts decoded since the last call into the core's
+    /// downlink queue: one round trip per round, not one per client.
+    fn collect_broadcasts(&mut self) {
+        if std::mem::take(&mut self.downlink_stale) {
+            for b in self.ask(|reply| ActorMsg::TakeBroadcasts { reply }).unwrap_or_default() {
+                self.core.queue_broadcast(b);
+            }
+        }
+    }
+
+    /// Routes one upload through the core and, when it survives, queues its
+    /// frame with the modelled arrival time.
     fn send_net_upload(&mut self, upload: Upload) -> (DeliveryOutcome, u64) {
-        let (outcome, arrival) = self.route_net_upload(upload.client, upload.server);
+        let (outcome, arrival) = self.core.route_upload(upload.client, upload.server);
         if outcome == DeliveryOutcome::Delivered {
-            self.pending[upload.server].push(PendingUpload {
-                client: upload.client,
+            let pending = &mut self.pending[upload.server];
+            pending.push(BatchedUpload {
+                client: upload.client as u32,
                 arrival_ms: arrival,
                 model: upload.model,
             });
-            if self.pending[upload.server].len() >= self.coalesce {
+            if pending.len() >= self.coalesce {
                 self.flush_uplink(upload.server);
             }
         }
@@ -503,29 +319,14 @@ impl Transport for NetTransport {
     }
 
     fn begin_round(&mut self, round: usize, model_len: usize) {
-        self.round = round;
-        self.model_len = model_len;
-        self.comm = CommStats::new();
-        self.round_open = true;
-        self.recipients = match self.pending_recipients.take() {
-            Some(n) => n.min(self.num_clients),
-            None => self.num_clients,
-        };
-        for s in 0..self.num_servers {
-            self.pending[s].clear();
-            let _ = self.uplinks[s].send(ServerMsg::Begin { round });
+        self.core.begin_round(round, model_len);
+        for pending in &mut self.pending {
+            pending.clear();
         }
-        let _ = self.router.send(RouterMsg::Begin {
-            round,
-            omission: self.fault_plan.downlink_omission,
-            duplicate: self.fault_plan.duplicate_rate,
-            lossy: self.fault_plan.lossy_downlink(),
-            partitioned: self.net_threat.partitioned.clone(),
-        });
-        self.drop_rng =
-            (self.upload_drop_rate > 0.0).then(|| rng_for(self.seed, &[DROP_LABEL, round as u64]));
-        self.corrupt_rng = (self.net_threat.corrupt_rate > 0.0)
-            .then(|| rng_for(self.seed, &[CORRUPT_LABEL, round as u64]));
+        self.downlink_stale = false;
+        let _ = self.actor.send(ActorMsg::Begin { round });
+        self.corrupt_rng = (self.core.threat().corrupt_rate > 0.0)
+            .then(|| rng_for(self.core.seed(), &[CORRUPT_LABEL, round as u64]));
     }
 
     fn send_upload(&mut self, upload: Upload) -> DeliveryOutcome {
@@ -543,18 +344,14 @@ impl Transport for NetTransport {
 
     // `supports_streaming` stays `false`: a networked transport must move
     // the payload itself, so the engine uses buffered per-server inboxes
-    // (and the PR-3 recovery decorator composes unchanged on top).
+    // (and the recovery decorator composes unchanged on top).
 
     fn set_round_recipients(&mut self, recipients: usize) {
-        if self.round_open {
-            self.recipients = recipients.min(self.num_clients);
-        } else {
-            self.pending_recipients = Some(recipients);
-        }
+        self.core.set_round_recipients(recipients);
     }
 
     fn server_online(&self, server: usize) -> bool {
-        !self.fault_plan.is_crashed(server, self.round)
+        self.core.server_online(server)
     }
 
     fn release_aggregate(
@@ -562,124 +359,69 @@ impl Transport for NetTransport {
         server: usize,
         aggregate: Tensor,
     ) -> (DeliveryOutcome, Option<Tensor>) {
-        // Straggling is the *sum* of injected delay (FaultPlan) and
-        // emergent processing lag (NetModel); under the ideal model the
-        // arithmetic collapses to LocalTransport's exactly.
-        let injected = self.fault_plan.straggler_delay(server).unwrap_or(0);
-        let emergent = self.model.server_lag_rounds(self.seed, self.round, server);
-        let delay = injected + emergent;
-        if delay == 0 {
-            return (DeliveryOutcome::Delivered, Some(aggregate));
-        }
-        let outbox = &mut self.outboxes[server];
-        outbox.push_back(aggregate);
-        if outbox.len() > delay {
-            (DeliveryOutcome::Delayed, outbox.pop_front())
-        } else {
-            (DeliveryOutcome::Delayed, None)
-        }
+        self.core.release_aggregate(server, aggregate)
     }
 
     fn broadcast(&mut self, message: Broadcast) -> Result<()> {
-        message.model.check_coverage(self.num_clients)?;
-        self.comm.record_downloads(self.recipients as u64, self.model_len);
-        let frame = Frame::Broadcast {
-            round: self.round as u32,
+        self.core.account_broadcast(&message)?;
+        self.send_frame(&Frame::Broadcast {
+            round: self.core.round() as u32,
             server: message.server as u32,
             model: message.model,
-        };
-        let mut bytes = encode_frame(&frame);
-        self.maybe_corrupt(&mut bytes);
-        self.stats.frames_sent += 1;
-        self.stats.frame_bytes += bytes.len() as u64;
-        let _ = self.router.send(RouterMsg::Frame(bytes));
+        });
+        self.downlink_stale = true;
         Ok(())
     }
 
     fn take_inbox(&mut self, server: usize) -> Vec<Tensor> {
         self.flush_uplink(server);
-        let (tx, rx) = channel();
-        if self.uplinks[server].send(ServerMsg::TakeInbox { reply: tx }).is_err() {
-            return Vec::new();
-        }
-        match rx.recv() {
-            Ok(reply) => {
-                if let Some(e) = reply.error {
-                    self.wire_error.get_or_insert(e);
-                }
-                reply.models
-            }
-            Err(_) => Vec::new(),
-        }
+        self.ask(|reply| ActorMsg::TakeInbox { server, reply }).unwrap_or_default()
     }
 
     fn drain_deliveries(&mut self, client: usize) -> Vec<Delivery> {
-        let (tx, rx) = channel();
-        if self.router.send(RouterMsg::Drain { client, reply: tx }).is_err() {
-            return Vec::new();
-        }
-        let Ok(reply) = rx.recv() else {
-            return Vec::new();
-        };
-        if let Some(e) = reply.error {
-            self.wire_error.get_or_insert(e);
-        }
-        for _ in 0..reply.dropped {
-            self.comm.record_dropped_download();
-        }
-        for _ in 0..reply.duplicated {
-            self.comm.record_duplicated_download(self.model_len);
-        }
-        for _ in 0..reply.deadline_missed {
-            self.comm.record_deadline_miss();
-        }
-        reply.deliveries
+        self.collect_broadcasts();
+        self.core.realize_downlink(client, Tensor::clone)
+    }
+
+    fn drain_deliveries_pooled(&mut self, client: usize, pool: &BufferPool) -> Vec<Delivery> {
+        self.collect_broadcasts();
+        self.core.realize_downlink(client, |m| pool.fetch_tensor(m))
     }
 
     fn take_comm(&mut self) -> CommStats {
-        self.round_open = false;
-        std::mem::take(&mut self.comm)
+        self.core.take_comm()
     }
 
     fn install_fault_plan(&mut self, plan: FaultPlan) -> Result<()> {
-        plan.validate(self.num_servers)?;
-        self.fault_plan = plan;
-        Ok(())
+        self.core.install_fault_plan(plan)
     }
 
     fn fault_plan(&self) -> &FaultPlan {
-        &self.fault_plan
+        self.core.fault_plan()
     }
 
     fn set_upload_drop_rate(&mut self, rate: f64) -> Result<()> {
-        if !(rate.is_finite() && (0.0..1.0).contains(&rate)) {
-            return Err(SimError::BadConfig(format!("drop rate must be in [0, 1), got {rate}")));
-        }
-        self.upload_drop_rate = rate;
-        Ok(())
+        self.core.set_upload_drop_rate(rate)
     }
 
     fn set_net_threat(&mut self, threat: NetThreat) {
-        self.net_threat = threat;
+        self.core.set_net_threat(threat);
     }
 
     fn state_snapshot(&self) -> Vec<Vec<Tensor>> {
-        self.outboxes.iter().map(|q| q.iter().cloned().collect()).collect()
+        self.core.state_snapshot()
     }
 
     fn restore_state(&mut self, outboxes: Vec<Vec<Tensor>>) {
-        self.outboxes = outboxes.into_iter().map(VecDeque::from).collect();
+        self.core.restore_state(outboxes);
     }
 }
 
 impl Drop for NetTransport {
     fn drop(&mut self) {
-        for tx in &self.uplinks {
-            let _ = tx.send(ServerMsg::Shutdown);
-        }
-        let _ = self.router.send(RouterMsg::Shutdown);
-        for h in self.handles.drain(..) {
-            let _ = h.join();
+        let _ = self.actor.send(ActorMsg::Shutdown);
+        if let Some(handle) = self.handle.take() {
+            let _ = handle.join();
         }
     }
 }
@@ -687,6 +429,7 @@ impl Drop for NetTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::Dissemination;
     use crate::ServerFault;
 
     fn up(client: usize, server: usize, v: f32) -> Upload {
@@ -814,7 +557,7 @@ mod tests {
         assert_eq!(t.send_upload(up(0, 2, 1.0)), DeliveryOutcome::Delivered);
         assert!(t.take_inbox(1).is_empty());
         assert_eq!(t.take_inbox(2).len(), 1);
-        // Downlink: its dissemination never leaves the router.
+        // Downlink: its dissemination never crosses the link.
         for s in [1usize, 2] {
             t.broadcast(Broadcast {
                 server: s,

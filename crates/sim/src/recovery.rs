@@ -34,6 +34,7 @@
 //! [`RecoveryPolicy::round_deadline_ms`] the exchange stops with a
 //! recorded deadline miss instead of retrying forever.
 
+use fedms_tensor::pool::BufferPool;
 use fedms_tensor::rng::rng_for;
 use fedms_tensor::Tensor;
 use rand::Rng;
@@ -157,6 +158,30 @@ impl RecoveryPolicy {
     /// filter phase, not the transport.
     pub fn is_disabled(&self) -> bool {
         self.retry_budget == 0 && !self.failover
+    }
+
+    /// Boxes a configured base transport for the engine: wrapped in a
+    /// [`ResilientTransport`] running this policy, or bare when the policy
+    /// is disabled — a disabled decorator is bit-identical, but leaving it
+    /// out keeps "trivial config = trivial machinery". `seed`,
+    /// `num_clients` and `num_servers` are as for
+    /// [`ResilientTransport::new`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`RecoveryPolicy::validate`].
+    pub fn wrap<T: Transport + 'static>(
+        self,
+        base: T,
+        seed: u64,
+        num_clients: usize,
+        num_servers: usize,
+    ) -> Result<Box<dyn Transport>> {
+        Ok(if self.is_disabled() {
+            Box::new(base)
+        } else {
+            Box::new(ResilientTransport::new(base, self, seed, num_clients, num_servers)?)
+        })
     }
 
     /// Validates the policy.
@@ -432,8 +457,15 @@ impl<T: Transport> ResilientTransport<T> {
     }
 
     /// Repairs omission losses on one client's downlink: every queued
-    /// broadcast that did not arrive is retransmitted up to the budget.
-    fn repair_downlink(&mut self, client: usize, deliveries: &mut Vec<Delivery>) {
+    /// broadcast that did not arrive is retransmitted up to the budget, and
+    /// a repaired copy is materialized like the inner transport's
+    /// deliveries (a plain clone, or a pooled copy).
+    fn repair_downlink(
+        &mut self,
+        client: usize,
+        deliveries: &mut Vec<Delivery>,
+        mut materialize: impl FnMut(&Tensor) -> Tensor,
+    ) {
         let omission = self.inner.fault_plan().downlink_omission;
         if self.policy.retry_budget == 0 || omission <= 0.0 {
             return;
@@ -468,7 +500,7 @@ impl<T: Transport> ResilientTransport<T> {
                     debug_assert!(false, "mirrored dissemination misses client {client}");
                     break;
                 };
-                let model = model.clone();
+                let model = materialize(model);
                 deliveries.push(Delivery { server, model, outcome: DeliveryOutcome::Delivered });
                 break;
             }
@@ -540,7 +572,13 @@ impl<T: Transport> Transport for ResilientTransport<T> {
 
     fn drain_deliveries(&mut self, client: usize) -> Vec<Delivery> {
         let mut deliveries = self.inner.drain_deliveries(client);
-        self.repair_downlink(client, &mut deliveries);
+        self.repair_downlink(client, &mut deliveries, Tensor::clone);
+        deliveries
+    }
+
+    fn drain_deliveries_pooled(&mut self, client: usize, pool: &BufferPool) -> Vec<Delivery> {
+        let mut deliveries = self.inner.drain_deliveries_pooled(client, pool);
+        self.repair_downlink(client, &mut deliveries, |m| pool.fetch_tensor(m));
         deliveries
     }
 

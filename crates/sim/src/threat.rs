@@ -18,7 +18,7 @@
 //!   set from [`crate::Topology`] is permanent.
 //! * **Partition** — at the network layer, the scheduled servers become
 //!   unreachable: uploads to them are dropped at the sender and their
-//!   disseminations never leave the router. Partitions are realized by
+//!   disseminations never cross the link. Partitions are realized by
 //!   [`crate::net::NetTransport`] (there is a wire to cut);
 //!   [`crate::LocalTransport`] models no wire and ignores them.
 //! * **Corruption** — each frame on the wire is independently corrupted

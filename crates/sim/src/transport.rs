@@ -12,42 +12,24 @@
 //!   [`crate::SimulationEngine`]'s phase pipeline runs over,
 //! * [`LocalTransport`] — the seed-deterministic in-process implementation.
 //!
-//! `LocalTransport` absorbs the *entire* benign-fault realization of a
+//! Every transport decides message fates through the crate's delivery core
+//! (`crate::delivery`): the *entire* benign-fault realization of a
 //! [`FaultPlan`] — crash silence, straggler outboxes, uplink channel loss,
 //! downlink omission and duplication — together with all [`CommStats`]
 //! accounting, so the engine and its phases never touch a fault branch or a
-//! byte counter directly. Alternate delivery models (a lossier WAN, a
-//! future async/networked backend) drop in by implementing [`Transport`]
-//! and handing the implementation to
+//! byte counter directly. Alternate delivery substrates drop in by
+//! implementing [`Transport`] and handing the implementation to
 //! [`crate::SimulationEngine::set_transport`].
-//!
-//! Determinism: all transport randomness derives from the run seed and the
-//! round index (`"DROP"` stream for uplink channel loss, `"OMIT"` stream
-//! for downlink omission/duplication), and the RNGs are only instantiated
-//! when the corresponding loss probability is non-zero — a trivial plan is
-//! bit-identical to no plan at all, and every faulty run replays exactly
-//! from `(config, seed)`.
-
-use std::collections::VecDeque;
 
 use fedms_tensor::pool::BufferPool;
-use fedms_tensor::rng::rng_for;
 use fedms_tensor::Tensor;
-use rand::rngs::StdRng;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
+use crate::delivery::DeliveryCore;
+use crate::net::NetModel;
 use crate::recovery::UploadReport;
 use crate::threat::NetThreat;
 use crate::{CommStats, FaultPlan, Result, SimError};
-
-/// RNG label for uplink channel loss ("DROP"). Shared with
-/// [`crate::net::NetTransport`], which must replay the identical stream
-/// for Local≡Net equivalence.
-pub(crate) const DROP_LABEL: u64 = 0x44_52_4F_50;
-/// RNG label for downlink omission/duplication ("OMIT"); shared like
-/// [`DROP_LABEL`].
-pub(crate) const OMIT_LABEL: u64 = 0x4F_4D_49_54;
 
 /// What a server sends out in the dissemination stage.
 #[derive(Debug, Clone, PartialEq)]
@@ -301,49 +283,25 @@ pub trait Transport: Send {
     fn restore_recovery_state(&mut self, _state: Vec<u32>) {}
 }
 
-/// The seed-deterministic in-process transport.
+/// The seed-deterministic in-process transport: the delivery core plus
+/// in-memory inboxes.
 ///
 /// Reproduces the paper's synchronous, reliable network by default; with a
 /// [`FaultPlan`] installed it realizes crash silence, straggler delays and
 /// lossy/duplicating downlinks exactly as described in DESIGN.md §6, with
-/// every random draw a pure function of `(seed, round, link)`.
+/// every random draw a pure function of `(seed, round, link)`. It is the
+/// only transport that streams uploads, and the reference the Local≡Net
+/// tests compare [`crate::net::NetTransport`] against.
 pub struct LocalTransport {
-    seed: u64,
-    num_clients: usize,
-    num_servers: usize,
-    fault_plan: FaultPlan,
-    upload_drop_rate: f64,
-    round: usize,
-    model_len: usize,
-    /// Clients receiving this round's disseminations (download
-    /// accounting); the full federation unless the engine samples a
-    /// smaller cohort.
-    recipients: usize,
-    /// A cohort size declared *before* the round opened, applied by the
-    /// next [`Transport::begin_round`] instead of being silently reset.
-    pending_recipients: Option<usize>,
-    /// Whether a round is open (between `begin_round` and `take_comm`);
-    /// gates whether `set_round_recipients` applies now or at next round.
-    round_open: bool,
-    drop_rng: Option<StdRng>,
-    downlink_rng: Option<StdRng>,
+    core: DeliveryCore,
+    /// Per-server uplink inboxes: this round's delivered uploads, in send
+    /// order.
     inboxes: Vec<Vec<Tensor>>,
-    queued: Vec<Broadcast>,
-    /// Aggregates awaiting delayed dissemination per straggler server,
-    /// oldest first (FIFO, popped front). Persists across rounds
-    /// (checkpointed state).
-    outboxes: Vec<VecDeque<Tensor>>,
-    comm: CommStats,
 }
 
 impl std::fmt::Debug for LocalTransport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LocalTransport")
-            .field("round", &self.round)
-            .field("clients", &self.num_clients)
-            .field("servers", &self.num_servers)
-            .field("faulty", &!self.fault_plan.is_trivial())
-            .finish()
+        f.debug_struct("LocalTransport").field("core", &self.core).finish()
     }
 }
 
@@ -352,75 +310,9 @@ impl LocalTransport {
     /// federation, deriving all channel randomness from `seed`.
     pub fn new(seed: u64, num_clients: usize, num_servers: usize) -> Self {
         LocalTransport {
-            seed,
-            num_clients,
-            num_servers,
-            fault_plan: FaultPlan::none(),
-            upload_drop_rate: 0.0,
-            round: 0,
-            model_len: 0,
-            recipients: num_clients,
-            pending_recipients: None,
-            round_open: false,
-            drop_rng: None,
-            downlink_rng: None,
+            core: DeliveryCore::new(seed, num_clients, num_servers, NetModel::ideal()),
             inboxes: vec![Vec::new(); num_servers],
-            queued: Vec::new(),
-            outboxes: vec![VecDeque::new(); num_servers],
-            comm: CommStats::new(),
         }
-    }
-
-    /// Shared downlink realization; `materialize` copies a queued model
-    /// into its delivered form (a plain clone, or a pooled copy whose
-    /// storage the filter phase recycles). The fault draws and accounting
-    /// are identical either way.
-    fn drain_with<F: FnMut(&Tensor) -> Tensor>(
-        &mut self,
-        client: usize,
-        mut materialize: F,
-    ) -> Vec<Delivery> {
-        let mut out = Vec::with_capacity(self.queued.len());
-        for b in &self.queued {
-            // Coverage is validated when the broadcast is queued, so a miss
-            // here means an upstream bug; skip rather than panic.
-            let Ok(model) = b.model.for_client(client) else {
-                debug_assert!(false, "queued dissemination misses client {client}");
-                continue;
-            };
-            if let Some(rng) = &mut self.downlink_rng {
-                if self.fault_plan.downlink_omission > 0.0
-                    && rng.gen_bool(self.fault_plan.downlink_omission)
-                {
-                    self.comm.record_dropped_download();
-                    continue;
-                }
-                out.push(Delivery {
-                    server: b.server,
-                    model: materialize(model),
-                    outcome: DeliveryOutcome::Delivered,
-                });
-                if self.fault_plan.duplicate_rate > 0.0
-                    && rng.gen_bool(self.fault_plan.duplicate_rate)
-                {
-                    // Delivered twice: double filter weight, and the
-                    // network carried it twice.
-                    self.comm.record_duplicated_download(self.model_len);
-                    out.push(Delivery {
-                        server: b.server,
-                        model: materialize(model),
-                        outcome: DeliveryOutcome::Duplicated,
-                    });
-                }
-            } else {
-                out.push(Delivery {
-                    server: b.server,
-                    model: materialize(model),
-                    outcome: DeliveryOutcome::Delivered,
-                });
-            }
-        }
-        out
     }
 }
 
@@ -430,36 +322,14 @@ impl Transport for LocalTransport {
     }
 
     fn begin_round(&mut self, round: usize, model_len: usize) {
-        self.round = round;
-        self.model_len = model_len;
+        self.core.begin_round(round, model_len);
         for inbox in &mut self.inboxes {
             inbox.clear();
         }
-        self.queued.clear();
-        self.comm = CommStats::new();
-        self.round_open = true;
-        // A cohort declared before the round opened takes effect now
-        // instead of being silently reset to the full federation.
-        self.recipients = match self.pending_recipients.take() {
-            Some(n) => n.min(self.num_clients),
-            None => self.num_clients,
-        };
-        // The loss streams are derived per round so any round is replayable
-        // in isolation; they are only instantiated (and drawn from) when
-        // the corresponding probability is non-zero, keeping the reliable
-        // path bit-identical to the pre-fault engine.
-        self.drop_rng =
-            (self.upload_drop_rate > 0.0).then(|| rng_for(self.seed, &[DROP_LABEL, round as u64]));
-        self.downlink_rng = self
-            .fault_plan
-            .lossy_downlink()
-            .then(|| rng_for(self.seed, &[OMIT_LABEL, round as u64]));
     }
 
     fn send_upload(&mut self, upload: Upload) -> DeliveryOutcome {
-        let outcome = self
-            .route_upload(upload.client, upload.server)
-            .expect("local transport routes uploads");
+        let (outcome, _) = self.core.route_upload(upload.client, upload.server);
         if outcome == DeliveryOutcome::Delivered {
             self.inboxes[upload.server].push(upload.model);
         }
@@ -470,35 +340,16 @@ impl Transport for LocalTransport {
         true
     }
 
-    fn route_upload(&mut self, _client: usize, server: usize) -> Option<DeliveryOutcome> {
-        // The sender pays for the attempt whether or not it lands.
-        self.comm.record_uploads(1, self.model_len);
-        // The channel draw happens regardless of the recipient's health, so
-        // a fault plan perturbs nothing else.
-        let channel_loss = match &mut self.drop_rng {
-            Some(rng) => rng.gen_bool(self.upload_drop_rate),
-            None => false,
-        };
-        Some(if channel_loss || self.fault_plan.is_crashed(server, self.round) {
-            self.comm.record_dropped_upload();
-            DeliveryOutcome::Dropped
-        } else {
-            DeliveryOutcome::Delivered
-        })
+    fn route_upload(&mut self, client: usize, server: usize) -> Option<DeliveryOutcome> {
+        Some(self.core.route_upload(client, server).0)
     }
 
     fn set_round_recipients(&mut self, recipients: usize) {
-        if self.round_open {
-            self.recipients = recipients.min(self.num_clients);
-        } else {
-            // Declared between rounds: defer to the next `begin_round` so
-            // its reset cannot silently overwrite the declaration.
-            self.pending_recipients = Some(recipients);
-        }
+        self.core.set_round_recipients(recipients);
     }
 
     fn server_online(&self, server: usize) -> bool {
-        !self.fault_plan.is_crashed(server, self.round)
+        self.core.server_online(server)
     }
 
     fn release_aggregate(
@@ -506,24 +357,12 @@ impl Transport for LocalTransport {
         server: usize,
         aggregate: Tensor,
     ) -> (DeliveryOutcome, Option<Tensor>) {
-        match self.fault_plan.straggler_delay(server) {
-            Some(delay) => {
-                let outbox = &mut self.outboxes[server];
-                outbox.push_back(aggregate);
-                if outbox.len() > delay {
-                    (DeliveryOutcome::Delayed, outbox.pop_front())
-                } else {
-                    (DeliveryOutcome::Delayed, None)
-                }
-            }
-            None => (DeliveryOutcome::Delivered, Some(aggregate)),
-        }
+        self.core.release_aggregate(server, aggregate)
     }
 
     fn broadcast(&mut self, message: Broadcast) -> Result<()> {
-        message.model.check_coverage(self.num_clients)?;
-        self.comm.record_downloads(self.recipients as u64, self.model_len);
-        self.queued.push(message);
+        self.core.account_broadcast(&message)?;
+        self.core.queue_broadcast(message);
         Ok(())
     }
 
@@ -532,42 +371,35 @@ impl Transport for LocalTransport {
     }
 
     fn drain_deliveries(&mut self, client: usize) -> Vec<Delivery> {
-        self.drain_with(client, Tensor::clone)
+        self.core.realize_downlink(client, Tensor::clone)
     }
 
     fn drain_deliveries_pooled(&mut self, client: usize, pool: &BufferPool) -> Vec<Delivery> {
-        self.drain_with(client, |m| pool.fetch_tensor(m))
+        self.core.realize_downlink(client, |m| pool.fetch_tensor(m))
     }
 
     fn take_comm(&mut self) -> CommStats {
-        self.round_open = false;
-        std::mem::take(&mut self.comm)
+        self.core.take_comm()
     }
 
     fn install_fault_plan(&mut self, plan: FaultPlan) -> Result<()> {
-        plan.validate(self.num_servers)?;
-        self.fault_plan = plan;
-        Ok(())
+        self.core.install_fault_plan(plan)
     }
 
     fn fault_plan(&self) -> &FaultPlan {
-        &self.fault_plan
+        self.core.fault_plan()
     }
 
     fn set_upload_drop_rate(&mut self, rate: f64) -> Result<()> {
-        if !(rate.is_finite() && (0.0..1.0).contains(&rate)) {
-            return Err(SimError::BadConfig(format!("drop rate must be in [0, 1), got {rate}")));
-        }
-        self.upload_drop_rate = rate;
-        Ok(())
+        self.core.set_upload_drop_rate(rate)
     }
 
     fn state_snapshot(&self) -> Vec<Vec<Tensor>> {
-        self.outboxes.iter().map(|q| q.iter().cloned().collect()).collect()
+        self.core.state_snapshot()
     }
 
     fn restore_state(&mut self, outboxes: Vec<Vec<Tensor>>) {
-        self.outboxes = outboxes.into_iter().map(VecDeque::from).collect();
+        self.core.restore_state(outboxes);
     }
 }
 

@@ -25,9 +25,10 @@ use fedms_sim::net::wire::{decode_frame, encode_frame};
 use fedms_sim::net::Frame;
 use fedms_sim::{
     CommStats, DeliveryOutcome, Dissemination, EngineConfig, FaultPlan, LocalTransport, ModelSpec,
-    NetModel, NetTransport, RecoveryPolicy, ServerFault, SimulationEngine, ThreatSchedule,
-    Topology, Transport, Upload, UploadStrategy, WireError,
+    NetModel, NetTransport, RecoveryPolicy, ResilientTransport, ServerFault, SimulationEngine,
+    ThreatSchedule, Topology, Transport, Upload, UploadStrategy, WireError,
 };
+use fedms_tensor::pool::BufferPool;
 use fedms_tensor::Tensor;
 use proptest::prelude::*;
 
@@ -63,12 +64,15 @@ enum Ev {
 /// Drives `rounds` full rounds of protocol traffic through `t`, recording
 /// every fate *and* every payload. Even servers broadcast, odd servers
 /// equivocate per client — so the per-client dissemination path crosses
-/// the wire too.
+/// the wire too. With a `pool`, downlinks drain through it and every
+/// delivered model is handed back after it is recorded, as the filter
+/// phase does.
 fn replay(
     t: &mut dyn Transport,
     clients: usize,
     servers: usize,
     rounds: usize,
+    pool: Option<&BufferPool>,
 ) -> (Vec<Ev>, Vec<CommStats>) {
     let mut trace = Vec::new();
     let mut comms = Vec::new();
@@ -110,7 +114,11 @@ fn replay(
             }
         }
         for k in 0..clients {
-            for d in t.drain_deliveries(k) {
+            let deliveries = match pool {
+                Some(pool) => t.drain_deliveries_pooled(k, pool),
+                None => t.drain_deliveries(k),
+            };
+            for d in deliveries {
                 trace.push(Ev::Downlink {
                     round,
                     client: k,
@@ -118,6 +126,9 @@ fn replay(
                     outcome: d.outcome,
                     model: d.model.as_slice().to_vec(),
                 });
+                if let Some(pool) = pool {
+                    pool.release_tensor(d.model);
+                }
             }
         }
         comms.push(t.take_comm());
@@ -151,7 +162,9 @@ proptest! {
     /// The oracle property: under the ideal model, `NetTransport` replays
     /// `LocalTransport` message-for-message (fates, inbox order, downlink
     /// realizations, payloads) and counter-for-counter, for arbitrary
-    /// crash/straggler/omission/duplicate plans and uplink drop rates.
+    /// crash/straggler/omission/duplicate plans and uplink drop rates —
+    /// bare or both wrapped in the recovery layer (retries and failover),
+    /// draining plainly or through a shared buffer pool.
     #[test]
     fn net_under_ideal_model_replays_local_exactly(
         seed in 0u64..1000,
@@ -162,6 +175,8 @@ proptest! {
         omission in 0.0f64..0.9,
         duplicate in 0.0f64..0.9,
         drop_rate in 0.0f64..0.9,
+        recovery in 0u8..2,
+        pooled in 0u8..2,
     ) {
         let servers = codes.len();
         let rounds = 1 + (seed % 3) as usize;
@@ -172,11 +187,26 @@ proptest! {
             t.install_fault_plan(plan.clone()).expect("generated plan is valid");
             t.set_upload_drop_rate(drop_rate).expect("generated rate is valid");
         }
-        let a = replay(&mut local, clients, servers, rounds);
-        let b = replay(&mut net, clients, servers, rounds);
+        let pool = (pooled == 1).then(BufferPool::new);
+        let (a, b) = if recovery == 1 {
+            let policy =
+                RecoveryPolicy { retry_budget: 3, failover: true, ..RecoveryPolicy::standard() };
+            let mut local = ResilientTransport::new(local, policy, seed, clients, servers)
+                .expect("policy is valid");
+            let mut net = ResilientTransport::new(net, policy, seed, clients, servers)
+                .expect("policy is valid");
+            (
+                replay(&mut local, clients, servers, rounds, pool.as_ref()),
+                replay(&mut net, clients, servers, rounds, pool.as_ref()),
+            )
+        } else {
+            let a = replay(&mut local, clients, servers, rounds, pool.as_ref());
+            let b = replay(&mut net, clients, servers, rounds, pool.as_ref());
+            prop_assert!(net.take_wire_error().is_none(), "a healthy run decoded a bad frame");
+            (a, b)
+        };
         prop_assert_eq!(a.0, b.0, "message traces diverged between local and net");
         prop_assert_eq!(a.1, b.1, "comm counters diverged between local and net");
-        prop_assert!(net.take_wire_error().is_none(), "a healthy run decoded a bad frame");
     }
 
     /// Thread scheduling never leaks into results: two `NetTransport`s
@@ -195,8 +225,8 @@ proptest! {
         for t in [&mut first, &mut second] {
             t.set_upload_drop_rate(drop_rate).expect("generated rate is valid");
         }
-        let a = replay(&mut first, clients, servers, 2);
-        let b = replay(&mut second, clients, servers, 2);
+        let a = replay(&mut first, clients, servers, 2, None);
+        let b = replay(&mut second, clients, servers, 2, None);
         prop_assert_eq!(a, b, "same seed, same model, different realization");
     }
 
@@ -430,6 +460,46 @@ fn cohorted_net_rounds_account_downloads_to_the_cohort() {
     // accounted on top of this base.
     assert_eq!(net_comm.download_messages - net_comm.duplicated_downloads, 4 * 4 * 2 + 3 * 4);
     assert_eq!(local_snap, net_snap);
+}
+
+/// The filter phase's pool bound holds on the recovery-over-net stack:
+/// every downlink view — inner deliveries, duplicates and repairs alike —
+/// is drawn from the engine's buffer pool and handed back to it, so after
+/// the first rounds the pool serves views from recycled storage instead of
+/// allocating.
+#[test]
+fn resilient_net_rounds_recycle_the_engine_pool() {
+    let mut e = engine(0);
+    let mut net = NetTransport::new(11, 12, 4, NetModel::ideal());
+    net.install_fault_plan(FaultPlan {
+        downlink_omission: 0.2,
+        duplicate_rate: 0.2,
+        ..FaultPlan::default()
+    })
+    .unwrap();
+    let policy = RecoveryPolicy {
+        retry_budget: 8,
+        failover: true,
+        round_deadline_ms: 0,
+        ..RecoveryPolicy::standard()
+    };
+    e.set_transport(Box::new(ResilientTransport::new(net, policy, 11, 12, 4).unwrap()));
+    let mut allocated = Vec::new();
+    for _ in 0..6 {
+        e.step_round(false).unwrap();
+        allocated.push(e.pool_stats().allocated);
+    }
+    let stats = e.pool_stats();
+    assert!(stats.reused > 0, "views must come from recycled storage: {stats:?}");
+    assert!(
+        allocated[1..].iter().all(|&a| a == allocated[1]),
+        "allocations must stop after round 2: {allocated:?}"
+    );
+    assert_eq!(
+        stats.released,
+        stats.allocated + stats.reused,
+        "every released view was lent by the pool: {stats:?}"
+    );
 }
 
 /// Runs a short federation with the given server attack on the default

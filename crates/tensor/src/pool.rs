@@ -10,7 +10,10 @@
 //! reports and asserted by the scale tests).
 //!
 //! The pool is a free list behind a [`Mutex`]: `fetch` hands out a
-//! recycled buffer (or allocates a fresh one), `release` returns it. It is
+//! recycled buffer (or allocates a fresh one), `release` returns it. The
+//! free list never grows past the most buffers ever lent at once, so
+//! releasing storage the pool never lent (a plain clone handed back in
+//! place of a pooled copy) cannot grow it without bound. It is
 //! deliberately value-transparent — a pooled tensor is bit-identical to a
 //! freshly allocated one — so pooling can never affect simulation results.
 
@@ -43,7 +46,33 @@ pub struct PoolStats {
 #[derive(Debug, Default)]
 struct PoolInner {
     free: Vec<Vec<f32>>,
+    /// Buffers currently lent out.
+    lent: usize,
+    /// The most buffers ever lent at once: the bound on `free`.
+    max_lent: usize,
     stats: PoolStats,
+}
+
+impl PoolInner {
+    /// Lends a buffer with room for `len` elements: recycled when the free
+    /// list has one, freshly allocated otherwise.
+    fn lend(&mut self, len: usize) -> Vec<f32> {
+        let buf = match self.free.pop() {
+            Some(b) => {
+                self.stats.reused += 1;
+                b
+            }
+            None => {
+                self.stats.allocated += 1;
+                Vec::with_capacity(len)
+            }
+        };
+        self.lent += 1;
+        self.max_lent = self.max_lent.max(self.lent);
+        self.stats.outstanding_bytes += 4 * len as u64;
+        self.stats.high_water_bytes = self.stats.high_water_bytes.max(self.stats.outstanding_bytes);
+        buf
+    }
 }
 
 /// A thread-safe free list of `Vec<f32>` buffers.
@@ -74,21 +103,7 @@ impl BufferPool {
     /// Returns a buffer holding a copy of `data`, recycling freed storage
     /// when available.
     pub fn fetch(&self, data: &[f32]) -> Vec<f32> {
-        let mut inner = self.inner.lock().expect("buffer pool poisoned");
-        let mut buf = match inner.free.pop() {
-            Some(b) => {
-                inner.stats.reused += 1;
-                b
-            }
-            None => {
-                inner.stats.allocated += 1;
-                Vec::with_capacity(data.len())
-            }
-        };
-        inner.stats.outstanding_bytes += 4 * data.len() as u64;
-        inner.stats.high_water_bytes =
-            inner.stats.high_water_bytes.max(inner.stats.outstanding_bytes);
-        drop(inner);
+        let mut buf = self.inner.lock().expect("buffer pool poisoned").lend(data.len());
         buf.clear();
         buf.extend_from_slice(data);
         buf
@@ -98,33 +113,24 @@ impl BufferPool {
     /// storage when available. Value-transparent: the result is
     /// bit-identical to `vec![0.0f32; len]`.
     pub fn fetch_zeroed(&self, len: usize) -> Vec<f32> {
-        let mut inner = self.inner.lock().expect("buffer pool poisoned");
-        let mut buf = match inner.free.pop() {
-            Some(b) => {
-                inner.stats.reused += 1;
-                b
-            }
-            None => {
-                inner.stats.allocated += 1;
-                Vec::with_capacity(len)
-            }
-        };
-        inner.stats.outstanding_bytes += 4 * len as u64;
-        inner.stats.high_water_bytes =
-            inner.stats.high_water_bytes.max(inner.stats.outstanding_bytes);
-        drop(inner);
+        let mut buf = self.inner.lock().expect("buffer pool poisoned").lend(len);
         buf.clear();
         buf.resize(len, 0.0);
         buf
     }
 
-    /// Returns a buffer to the free list for later reuse.
+    /// Returns a buffer to the free list for later reuse, or drops it when
+    /// the free list already holds as many buffers as were ever lent at
+    /// once.
     pub fn release(&self, buf: Vec<f32>) {
         let mut inner = self.inner.lock().expect("buffer pool poisoned");
         inner.stats.released += 1;
         inner.stats.outstanding_bytes =
             inner.stats.outstanding_bytes.saturating_sub(4 * buf.len() as u64);
-        inner.free.push(buf);
+        inner.lent = inner.lent.saturating_sub(1);
+        if inner.free.len() < inner.max_lent {
+            inner.free.push(buf);
+        }
     }
 
     /// Copies `src` into a pooled rank-preserving tensor.
@@ -208,6 +214,22 @@ mod tests {
         let s = pool.stats();
         assert_eq!(s.allocated, 1);
         assert_eq!(s.reused, 1);
+    }
+
+    #[test]
+    fn releasing_never_fetched_buffers_keeps_the_free_list_empty() {
+        let pool = BufferPool::new();
+        for _ in 0..100 {
+            pool.release(vec![0.0; 8]);
+        }
+        assert_eq!(pool.free_len(), 0);
+        assert_eq!(pool.stats().released, 100);
+        // The bound follows the most buffers ever lent at once.
+        let (a, b) = (pool.fetch(&[1.0]), pool.fetch(&[2.0]));
+        pool.release(a);
+        pool.release(b);
+        pool.release(vec![3.0]);
+        assert_eq!(pool.free_len(), 2);
     }
 
     #[test]

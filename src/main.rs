@@ -29,9 +29,43 @@ use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  fedms init-config <file.json>\n  fedms run [<file.json>] [--out <file>] [--rounds <n>] [--seed <n>] [--save-checkpoint <file>] [--resume <file>]\n            [--crash <n>] [--crash-round <r>] [--stragglers <n>] [--straggler-delay <r>]\n            [--downlink-omission <p>] [--duplicate-rate <p>]\n            [--retry-budget <n>] [--attempt-timeout <ms>] [--backoff-base <ms>]\n            [--failover] [--proceed-degraded]\n            [--transport <local|net>] [--net-profile <ideal|edge>]\n            [--threat-schedule <spec>] [--estimate-b] [--backend <scalar|blocked>]\n  fedms serve <addr> [--expect <n>]\n  fedms client <addr> [--client <id>] [--dim <n>] [--value <x>]\n  fedms exp run <spec.toml> [--threads <n>] [--resume <run-id>] [--out-dir <dir>] [--dry-run|--list]\n  fedms exp list <spec.toml>\n  fedms exp check <run-dir>\n  fedms compare <a.json> <b.json> [...]\n  fedms attacks\n  fedms filters\n\nfault flags inject benign server/link faults on top of the config's\nscenario; victims are sampled deterministically from the run seed.\nrecovery flags enable deadline-driven retries with seed-deterministic\nbackoff (--retry-budget), upload failover to alternate servers\n(--failover), and local continuation instead of aborting when a client's\nview still degrades below quorum (--proceed-degraded).\n\n--transport net runs the round loop over the concurrent NetTransport\n(per-server actors, versioned wire frames); --net-profile edge adds the\nedge-network latency/bandwidth model, making stragglers and deadline\nmisses emerge from the network itself. `serve` binds one TCP parameter\nserver for a single round (port 0 picks a free port) and `client`\nuploads to it over the same wire frames.\n\n--threat-schedule drives a dynamic threat timeline: epochs separated by\n';', each 'START..END: key=value, ...' with keys compromise=IDS,\nattack=NAME[:P[:P]], partition=IDS, corrupt=RATE (ids '|'-separated).\nExample: '50..80: compromise=1|3, attack=random:-10:10; 60..: partition=5'.\n--estimate-b turns on the online Byzantine-count estimator: the filter\nbecomes an adaptive trimmed mean driven by a per-round B-hat.\n--backend selects the compute backend for client training: scalar (the\ndeterministic default) or blocked (cache-blocked vectorized kernels;\nrequires a binary built with --features backend-blocked).\n\n`exp run` executes a declarative sweep spec (see experiments/*.toml) on a\nwork-stealing thread pool; records land in <out-dir>/<run-id>/ and a\nre-run (or --resume <run-id>) skips every already-completed trial."
+        "usage:\n  fedms init-config <file.json>\n  fedms run [<file.json>] [--out <file>] [--rounds <n>] [--seed <n>] [--save-checkpoint <file>] [--resume <file>]\n            [--crash <n>] [--crash-round <r>] [--stragglers <n>] [--straggler-delay <r>]\n            [--downlink-omission <p>] [--duplicate-rate <p>]\n            [--retry-budget <n>] [--attempt-timeout <ms>] [--backoff-base <ms>]\n            [--failover] [--proceed-degraded]\n            [--transport <local|net>] [--net-profile <ideal|edge>]\n            [--threat-schedule <spec>] [--estimate-b] [--backend <scalar|blocked>]\n  fedms serve <addr> [--expect <n>]\n  fedms client <addr> [--client <id>] [--dim <n>] [--value <x>]\n  fedms exp run <spec.toml> [--threads <n>] [--resume <run-id>] [--out-dir <dir>] [--dry-run|--list]\n  fedms exp list <spec.toml>\n  fedms exp check <run-dir>\n  fedms compare <a.json> <b.json> [...]\n  fedms attacks\n  fedms filters\n\nfault flags inject benign server/link faults on top of the config's\nscenario; victims are sampled deterministically from the run seed.\nrecovery flags enable deadline-driven retries with seed-deterministic\nbackoff (--retry-budget), upload failover to alternate servers\n(--failover), and local continuation instead of aborting when a client's\nview still degrades below quorum (--proceed-degraded).\n\n--transport net runs the round loop over the concurrent NetTransport\n(versioned wire frames through an actor thread); --net-profile edge adds the\nedge-network latency/bandwidth model, making stragglers and deadline\nmisses emerge from the network itself. `serve` binds one TCP parameter\nserver for a single round (port 0 picks a free port) and `client`\nuploads to it over the same wire frames.\n\n--threat-schedule drives a dynamic threat timeline: epochs separated by\n';', each 'START..END: key=value, ...' with keys compromise=IDS,\nattack=NAME[:P[:P]], partition=IDS, corrupt=RATE (ids '|'-separated).\nExample: '50..80: compromise=1|3, attack=random:-10:10; 60..: partition=5'.\n--estimate-b turns on the online Byzantine-count estimator: the filter\nbecomes an adaptive trimmed mean driven by a per-round B-hat.\n--backend selects the compute backend for client training: scalar (the\ndeterministic default) or blocked (cache-blocked vectorized kernels;\nrequires a binary built with --features backend-blocked).\n\n`exp run` executes a declarative sweep spec (see experiments/*.toml) on a\nwork-stealing thread pool; records land in <out-dir>/<run-id>/ and a\nre-run (or --resume <run-id>) skips every already-completed trial."
     );
     ExitCode::FAILURE
+}
+
+/// Exit status of a command line that names a flag without a value or with
+/// a value that does not parse.
+const BAD_FLAG: u8 = 2;
+
+/// Reports a bad flag value and exits the enclosing command with status 2.
+macro_rules! flag {
+    ($value:expr) => {
+        match $value {
+            Ok(v) => v,
+            Err(msg) => {
+                eprintln!("error: {msg}");
+                return ExitCode::from(BAD_FLAG);
+            }
+        }
+    };
+}
+
+/// The value following `flag` on the command line.
+fn flag_value<'a>(flag: &str, it: &mut std::slice::Iter<'a, String>) -> Result<&'a str, String> {
+    it.next().map(String::as_str).ok_or_else(|| format!("{flag} needs a value"))
+}
+
+/// The value following `flag`, parsed as a `T`.
+fn flag_parse<T: std::str::FromStr>(
+    flag: &str,
+    it: &mut std::slice::Iter<'_, String>,
+) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    let value = flag_value(flag, it)?;
+    value.parse().map_err(|e| format!("invalid value {value:?} for {flag}: {e}"))
 }
 
 fn main() -> ExitCode {
@@ -135,13 +169,9 @@ fn exp_run(args: &[String]) -> ExitCode {
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--threads" => threads = it.next().and_then(|v| v.parse().ok()),
-            "--resume" => resume = it.next().map(String::as_str),
-            "--out-dir" => {
-                if let Some(dir) = it.next() {
-                    out_dir = dir.clone();
-                }
-            }
+            "--threads" => threads = Some(flag!(flag_parse(arg, &mut it))),
+            "--resume" => resume = Some(flag!(flag_value(arg, &mut it))),
+            "--out-dir" => out_dir = flag!(flag_value(arg, &mut it)).to_string(),
             "--dry-run" | "--list" => dry_run = true,
             other if !other.starts_with("--") && spec_path.is_none() => spec_path = Some(other),
             other => {
@@ -384,27 +414,27 @@ fn run(args: &[String]) -> ExitCode {
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--out" => out_path = it.next().map(String::as_str),
-            "--rounds" => rounds = it.next().and_then(|v| v.parse().ok()),
-            "--seed" => seed = it.next().and_then(|v| v.parse().ok()),
-            "--save-checkpoint" => save_checkpoint = it.next().map(String::as_str),
-            "--resume" => resume = it.next().map(String::as_str),
-            "--crash" => crash = it.next().and_then(|v| v.parse().ok()),
-            "--crash-round" => crash_round = it.next().and_then(|v| v.parse().ok()),
-            "--stragglers" => stragglers = it.next().and_then(|v| v.parse().ok()),
-            "--straggler-delay" => straggler_delay = it.next().and_then(|v| v.parse().ok()),
-            "--downlink-omission" => downlink_omission = it.next().and_then(|v| v.parse().ok()),
-            "--duplicate-rate" => duplicate_rate = it.next().and_then(|v| v.parse().ok()),
-            "--retry-budget" => retry_budget = it.next().and_then(|v| v.parse().ok()),
-            "--attempt-timeout" => attempt_timeout = it.next().and_then(|v| v.parse().ok()),
-            "--backoff-base" => backoff_base = it.next().and_then(|v| v.parse().ok()),
+            "--out" => out_path = Some(flag!(flag_value(arg, &mut it))),
+            "--rounds" => rounds = Some(flag!(flag_parse(arg, &mut it))),
+            "--seed" => seed = Some(flag!(flag_parse(arg, &mut it))),
+            "--save-checkpoint" => save_checkpoint = Some(flag!(flag_value(arg, &mut it))),
+            "--resume" => resume = Some(flag!(flag_value(arg, &mut it))),
+            "--crash" => crash = Some(flag!(flag_parse(arg, &mut it))),
+            "--crash-round" => crash_round = Some(flag!(flag_parse(arg, &mut it))),
+            "--stragglers" => stragglers = Some(flag!(flag_parse(arg, &mut it))),
+            "--straggler-delay" => straggler_delay = Some(flag!(flag_parse(arg, &mut it))),
+            "--downlink-omission" => downlink_omission = Some(flag!(flag_parse(arg, &mut it))),
+            "--duplicate-rate" => duplicate_rate = Some(flag!(flag_parse(arg, &mut it))),
+            "--retry-budget" => retry_budget = Some(flag!(flag_parse(arg, &mut it))),
+            "--attempt-timeout" => attempt_timeout = Some(flag!(flag_parse(arg, &mut it))),
+            "--backoff-base" => backoff_base = Some(flag!(flag_parse(arg, &mut it))),
             "--failover" => failover = true,
             "--proceed-degraded" => proceed_degraded = true,
-            "--transport" => transport = it.next().map(String::as_str),
-            "--net-profile" => net_profile = it.next().map(String::as_str),
-            "--threat-schedule" => threat_schedule = it.next().map(String::as_str),
+            "--transport" => transport = Some(flag!(flag_value(arg, &mut it))),
+            "--net-profile" => net_profile = Some(flag!(flag_value(arg, &mut it))),
+            "--threat-schedule" => threat_schedule = Some(flag!(flag_value(arg, &mut it))),
             "--estimate-b" => estimate_b = true,
-            "--backend" => backend = it.next().map(String::as_str),
+            "--backend" => backend = Some(flag!(flag_value(arg, &mut it))),
             other if !other.starts_with("--") && config_path.is_none() => config_path = Some(other),
             other => {
                 eprintln!("error: unrecognised argument {other}");
@@ -689,7 +719,7 @@ fn serve(args: &[String]) -> ExitCode {
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--expect" => expect = it.next().and_then(|v| v.parse().ok()).unwrap_or(expect),
+            "--expect" => expect = flag!(flag_parse(arg, &mut it)),
             other if !other.starts_with("--") && addr.is_none() => addr = Some(other),
             other => {
                 eprintln!("error: unrecognised argument {other}");
@@ -746,9 +776,9 @@ fn client(args: &[String]) -> ExitCode {
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--client" => client_id = it.next().and_then(|v| v.parse().ok()).unwrap_or(client_id),
-            "--dim" => dim = it.next().and_then(|v| v.parse().ok()).unwrap_or(dim),
-            "--value" => value = it.next().and_then(|v| v.parse().ok()),
+            "--client" => client_id = flag!(flag_parse(arg, &mut it)),
+            "--dim" => dim = flag!(flag_parse(arg, &mut it)),
+            "--value" => value = Some(flag!(flag_parse(arg, &mut it))),
             other if !other.starts_with("--") && addr.is_none() => addr = Some(other),
             other => {
                 eprintln!("error: unrecognised argument {other}");

@@ -122,3 +122,19 @@ fn unknown_flag_rejected() {
     let out = fedms().args(["run", "--bogus"]).output().expect("binary runs");
     assert!(!out.status.success());
 }
+
+#[test]
+fn bad_or_missing_flag_values_exit_2_naming_flag_and_value() {
+    for (args, needles) in [
+        (&["run", "--crash", "abc"][..], &["--crash", "\"abc\""][..]),
+        (&["run", "--rounds"][..], &["--rounds", "needs a value"][..]),
+        (&["client", "127.0.0.1:1", "--dim", "x"][..], &["--dim", "\"x\""][..]),
+    ] {
+        let out = fedms().args(args).output().expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        for needle in needles {
+            assert!(stderr.contains(needle), "{args:?}: {stderr:?} lacks {needle}");
+        }
+    }
+}
