@@ -82,6 +82,34 @@ impl AttackKind {
         }
     }
 
+    /// Parses the spec form `name[:param[:param]]`, where `name` is the
+    /// kind's [`AttackKind::label`], e.g. `noise:2.5` or `random:-10:10`.
+    /// Missing trailing parameters take the paper defaults; extra ones are
+    /// an error.
+    ///
+    /// # Errors
+    ///
+    /// Names an unknown kind or a bad or extra parameter.
+    pub fn parse(s: &str) -> std::result::Result<Self, String> {
+        let mut p = s.split(':').map(str::trim);
+        let kind = match p.next().unwrap_or_default() {
+            "benign" => AttackKind::Benign,
+            "noise" => AttackKind::Noise { std: param(&mut p, 1.0)? },
+            "random" => AttackKind::Random { lo: param(&mut p, -10.0)?, hi: param(&mut p, 10.0)? },
+            "safeguard" => AttackKind::Safeguard { gamma: param(&mut p, 0.6)? },
+            "backward" => AttackKind::Backward { delay: param(&mut p, 2)? },
+            "sign_flip" => AttackKind::SignFlip { scale: param(&mut p, 1.0)? },
+            "zero" => AttackKind::Zero,
+            "alie" => AttackKind::Alie { z: param(&mut p, 1.0)? },
+            "ipm" => AttackKind::Ipm { epsilon: param(&mut p, 0.5)? },
+            other => return Err(format!("unknown attack `{other}`")),
+        };
+        match p.next() {
+            None => Ok(kind),
+            Some(extra) => Err(format!("unexpected parameter `{extra}`")),
+        }
+    }
+
     /// Instantiates the live attack.
     ///
     /// # Errors
@@ -131,6 +159,14 @@ impl AttackKind {
             }
         })
     }
+}
+
+/// The next parameter of a kind string, or `default` past its end.
+fn param<'a, T: std::str::FromStr>(
+    p: &mut impl Iterator<Item = &'a str>,
+    default: T,
+) -> std::result::Result<T, String> {
+    p.next().map_or(Ok(default), |s| s.parse().map_err(|_| format!("bad parameter `{s}`")))
 }
 
 #[cfg(test)]

@@ -104,3 +104,16 @@ fn main() -> Result<(), SpecError> {
     }
     Ok(())
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fedms_exp::SweepSpec;
+
+    #[test]
+    fn inline_specs_expand() {
+        for spec in [SPEC, BETA_SWEEP_SPEC, FILTER_ABLATION_SPEC] {
+            assert!(!SweepSpec::parse(spec).unwrap().expand().unwrap().is_empty());
+        }
+    }
+}

@@ -168,7 +168,11 @@ impl FedMsConfig {
     /// Never fails for the built-in defaults; the `Result` mirrors the
     /// fallible construction path used by customised configurations.
     pub fn paper_defaults(seed: u64) -> Result<Self> {
-        Ok(FedMsConfig {
+        Ok(Self::table_ii(seed))
+    }
+
+    fn table_ii(seed: u64) -> Self {
+        FedMsConfig {
             clients: 50,
             servers: 10,
             byzantine_count: 0,
@@ -204,48 +208,24 @@ impl FedMsConfig {
             threat: ThreatSchedule::none(),
             estimator: EstimatorPolicy::default(),
             backend: BackendKind::Scalar,
-        })
+        }
     }
 
-    /// A miniature configuration for tests: 8 clients, 4 servers, tiny
-    /// dataset and model.
+    /// A miniature configuration for tests: the Table II defaults shrunk
+    /// to 8 clients, 4 servers (β = 0.25), a tiny dataset and model, and
+    /// sequential training.
     pub fn tiny(seed: u64) -> Self {
         FedMsConfig {
             clients: 8,
             servers: 4,
-            byzantine_count: 0,
-            attack: AttackKind::Noise { std: 1.0 },
-            equivocate: false,
             filter: FilterKind::TrimmedMean { beta: 0.25 },
-            upload: UploadStrategy::Sparse,
             local_epochs: 2,
             batch_size: 8,
-            schedule: LrSchedule::Constant(0.1),
-            dirichlet_alpha: 10.0,
             rounds: 3,
             dataset: SynthVisionConfig::small(),
             model: ModelSpec::Mlp { widths: vec![16, 8, 4] },
-            seed,
-            eval_every: 1,
-            eval_clients: 0,
             parallel: false,
-            threads: 0,
-            eval_after_local: true,
-            byzantine_clients: 0,
-            client_attack: ClientAttackKind::SignFlip { scale: 1.0 },
-            server_filter: FilterKind::Mean,
-            participation: 1.0,
-            record_diagnostics: false,
-            upload_drop_rate: 0.0,
-            fault: FaultSpec::default(),
-            recovery: RecoveryPolicy::disabled(),
-            transport: TransportKind::Local,
-            net_model: NetModel::ideal(),
-            cohort: 0,
-            shard_samples: 0,
-            threat: ThreatSchedule::none(),
-            estimator: EstimatorPolicy::default(),
-            backend: BackendKind::Scalar,
+            ..Self::table_ii(seed)
         }
     }
 

@@ -45,6 +45,7 @@ mod config;
 mod error;
 mod filter;
 pub mod hash;
+mod overrides;
 pub mod theory;
 
 pub use config::{FedMsConfig, TransportKind};

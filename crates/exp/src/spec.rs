@@ -25,16 +25,15 @@
 //! Expansion crosses the grid axes in declaration order, applies `[base]`
 //! then the cell's axis values to the scale's base config, crosses with the
 //! seed list, and **deduplicates** trials whose resolved `(config, seed)`
-//! coincide. Attack and filter values are compact `kind[:param[:param]]`
-//! strings; `trimmed:matched` resolves β = B/P per cell (the paper's
-//! matched trim rate), `adaptive:matched` resolves trim = B.
+//! coincide. `[base]` and `[grid]` keys are [`FedMsConfig::apply`]'s
+//! override keys and their values reach it as text, so attack and filter
+//! values are its compact `kind[:param[:param]]` strings; `trimmed:matched`
+//! resolves β = B/P per cell (the paper's matched trim rate),
+//! `adaptive:matched` resolves trim = B.
 
 use crate::toml::{self, Value};
 use crate::trial::Trial;
-use fedms_attacks::{AttackKind, ClientAttackKind};
-use fedms_core::{fnv1a64_hex, FedMsConfig, FilterKind};
-use fedms_nn::LrSchedule;
-use fedms_sim::UploadStrategy;
+use fedms_core::{fnv1a64_hex, FedMsConfig};
 use std::fmt;
 
 /// A spec-level failure: parse error, unknown key, bad value, infeasible
@@ -90,46 +89,6 @@ pub struct SweepSpec {
     /// run directory).
     pub source: String,
 }
-
-/// Override keys accepted in `[base]` and `[grid]`.
-const KNOWN_KEYS: &[&str] = &[
-    "clients",
-    "servers",
-    "byzantine",
-    "epsilon",
-    "byzantine_clients",
-    "attack",
-    "client_attack",
-    "equivocate",
-    "filter",
-    "server_filter",
-    "upload",
-    "local_epochs",
-    "batch_size",
-    "lr",
-    "dirichlet_alpha",
-    "rounds",
-    "participation",
-    "cohort",
-    "shard_samples",
-    "eval_clients",
-    "upload_drop_rate",
-    "crashed_servers",
-    "crash_round",
-    "straggler_servers",
-    "straggler_delay",
-    "downlink_omission",
-    "duplicate_rate",
-    "retry_budget",
-    "attempt_timeout_ms",
-    "backoff_base_ms",
-    "backoff_cap_ms",
-    "failover",
-    "proceed_degraded",
-    "threat_schedule",
-    "estimate_b",
-    "backend",
-];
 
 fn bad(msg: impl Into<String>) -> SpecError {
     SpecError(msg.into())
@@ -223,20 +182,19 @@ impl SweepSpec {
         let mut base = Vec::new();
         if let Some(table) = doc.table("base") {
             for entry in &table.entries {
-                check_key(&entry.key, entry.line)?;
                 if matches!(entry.value, Value::Array(_)) {
                     return Err(bad(format!(
                         "line {}: [base] values are scalars; put axis `{}` under [grid]",
                         entry.line, entry.key
                     )));
                 }
+                check_entry(&entry.key, &entry.value, entry.line)?;
                 base.push((entry.key.clone(), entry.value.clone()));
             }
         }
         let mut axes = Vec::new();
         if let Some(table) = doc.table("grid") {
             for entry in &table.entries {
-                check_key(&entry.key, entry.line)?;
                 let values = entry
                     .value
                     .as_array()
@@ -249,6 +207,9 @@ impl SweepSpec {
                     .to_vec();
                 if values.is_empty() {
                     return Err(bad(format!("line {}: axis `{}` is empty", entry.line, entry.key)));
+                }
+                for value in &values {
+                    check_entry(&entry.key, value, entry.line)?;
                 }
                 axes.push((entry.key.clone(), values));
             }
@@ -388,38 +349,26 @@ impl SweepSpec {
         cfg.eval_every = self.eval_every.unwrap_or_else(|| (self.rounds / 20).max(1));
 
         // Merge [base] then the cell, cell entries overriding same-key base
-        // entries.
-        let mut merged: Vec<(String, Value)> = Vec::new();
+        // entries; `apply` orders the keys by dependency.
+        let mut merged: Vec<(&str, String)> = Vec::new();
         for (k, v) in self.base.iter().chain(cell.iter()) {
             if let Some(slot) = merged.iter_mut().find(|(mk, _)| mk == k) {
-                slot.1 = v.clone();
+                slot.1 = v.display();
             } else {
-                merged.push((k.clone(), v.clone()));
+                merged.push((k, v.display()));
             }
         }
-        // Application order matters: sizes first (epsilon needs `servers`),
-        // filters last (`matched` needs the final B and P).
-        let phase = |key: &str| match key {
-            "clients" | "servers" => 0,
-            "byzantine" | "epsilon" | "byzantine_clients" => 1,
-            "filter" | "server_filter" => 3,
-            _ => 2,
-        };
-        for p in 0..4 {
-            for (k, v) in merged.iter().filter(|(k, _)| phase(k) == p) {
-                apply_override(&mut cfg, k, v).map_err(|e| format!("`{k}`: {e}"))?;
-            }
-        }
+        let pairs: Vec<(&str, &str)> = merged.iter().map(|(k, v)| (*k, v.as_str())).collect();
+        cfg.apply(&pairs).map_err(|e| e.to_string())?;
         Ok(cfg)
     }
 }
 
-fn check_key(key: &str, line: usize) -> Result<(), SpecError> {
-    if KNOWN_KEYS.contains(&key) {
-        Ok(())
-    } else {
-        Err(bad(format!("line {line}: unknown override key `{key}`")))
-    }
+/// Rejects an unknown key or a value that does not parse, naming its line.
+fn check_entry(key: &str, value: &Value, line: usize) -> Result<(), SpecError> {
+    FedMsConfig::tiny(0)
+        .apply(&[(key, &value.display())])
+        .map_err(|e| bad(format!("line {line}: {e}")))
 }
 
 fn slug(label: &str) -> String {
@@ -450,193 +399,11 @@ fn usize_value(v: &Value) -> Result<usize, String> {
         .ok_or_else(|| format!("expected a non-negative integer, got {}", v.kind()))
 }
 
-fn float_value(v: &Value) -> Result<f64, String> {
-    v.as_float().ok_or_else(|| format!("expected a number, got {}", v.kind()))
-}
-
-fn bool_value(v: &Value) -> Result<bool, String> {
-    v.as_bool().ok_or_else(|| format!("expected a boolean, got {}", v.kind()))
-}
-
-fn str_value(v: &Value) -> Result<&str, String> {
-    v.as_str().ok_or_else(|| format!("expected a string, got {}", v.kind()))
-}
-
-/// Applies one override to the config. Filters may reference the already-
-/// applied `byzantine`/`servers` fields (`matched`).
-fn apply_override(cfg: &mut FedMsConfig, key: &str, v: &Value) -> Result<(), String> {
-    match key {
-        "clients" => cfg.clients = usize_value(v)?,
-        "servers" => cfg.servers = usize_value(v)?,
-        "byzantine" => cfg.byzantine_count = usize_value(v)?,
-        "epsilon" => {
-            let eps = float_value(v)?;
-            if !(0.0..=1.0).contains(&eps) {
-                return Err(format!("epsilon {eps} outside [0, 1]"));
-            }
-            cfg.byzantine_count = (eps * cfg.servers as f64).round() as usize;
-        }
-        "byzantine_clients" => cfg.byzantine_clients = usize_value(v)?,
-        "attack" => cfg.attack = parse_attack(str_value(v)?)?,
-        "client_attack" => cfg.client_attack = parse_client_attack(str_value(v)?)?,
-        "equivocate" => cfg.equivocate = bool_value(v)?,
-        "filter" => cfg.filter = parse_filter(str_value(v)?, cfg.byzantine_count, cfg.servers)?,
-        "server_filter" => {
-            // Matched rates for the server-side rule key off the Byzantine
-            // *client* count over the client population.
-            cfg.server_filter = parse_filter(str_value(v)?, cfg.byzantine_clients, cfg.clients)?;
-        }
-        "upload" => cfg.upload = parse_upload(str_value(v)?)?,
-        "local_epochs" => cfg.local_epochs = usize_value(v)?,
-        "batch_size" => cfg.batch_size = usize_value(v)?,
-        "lr" => cfg.schedule = LrSchedule::Constant(float_value(v)? as f32),
-        "dirichlet_alpha" => cfg.dirichlet_alpha = float_value(v)?,
-        "rounds" => cfg.rounds = usize_value(v)?,
-        "participation" => cfg.participation = float_value(v)?,
-        "cohort" => cfg.cohort = usize_value(v)?,
-        "shard_samples" => cfg.shard_samples = usize_value(v)?,
-        "eval_clients" => cfg.eval_clients = usize_value(v)?,
-        "upload_drop_rate" => cfg.upload_drop_rate = float_value(v)?,
-        "crashed_servers" => cfg.fault.crashed_servers = usize_value(v)?,
-        "crash_round" => cfg.fault.crash_round = usize_value(v)?,
-        "straggler_servers" => {
-            cfg.fault.straggler_servers = usize_value(v)?;
-            if cfg.fault.straggler_servers > 0 && cfg.fault.straggler_delay == 0 {
-                cfg.fault.straggler_delay = 1;
-            }
-        }
-        "straggler_delay" => cfg.fault.straggler_delay = usize_value(v)?,
-        "downlink_omission" => cfg.fault.downlink_omission = float_value(v)?,
-        "duplicate_rate" => cfg.fault.duplicate_rate = float_value(v)?,
-        "retry_budget" => cfg.recovery.retry_budget = usize_value(v)? as u32,
-        "attempt_timeout_ms" => cfg.recovery.attempt_timeout_ms = usize_value(v)? as u64,
-        "backoff_base_ms" => {
-            cfg.recovery.backoff_base_ms = usize_value(v)? as u64;
-            cfg.recovery.backoff_cap_ms =
-                cfg.recovery.backoff_cap_ms.max(cfg.recovery.backoff_base_ms);
-        }
-        "backoff_cap_ms" => cfg.recovery.backoff_cap_ms = usize_value(v)? as u64,
-        "failover" => cfg.recovery.failover = bool_value(v)?,
-        "threat_schedule" => {
-            cfg.threat = fedms_core::ThreatSchedule::parse(str_value(v)?)
-                .map_err(|e| format!("bad threat_schedule: {e}"))?;
-        }
-        "backend" => {
-            cfg.backend = fedms_core::BackendKind::parse(str_value(v)?)?;
-        }
-        "estimate_b" => {
-            cfg.estimator = if bool_value(v)? {
-                fedms_core::EstimatorPolicy::enabled()
-            } else {
-                fedms_core::EstimatorPolicy::default()
-            };
-        }
-        "proceed_degraded" => {
-            cfg.recovery.on_degraded = if bool_value(v)? {
-                fedms_sim::DegradedMode::Proceed
-            } else {
-                fedms_sim::DegradedMode::Abort
-            };
-        }
-        other => return Err(format!("unknown key `{other}`")),
-    }
-    Ok(())
-}
-
-/// Splits `kind:p1:p2` into the kind and its parameter list.
-fn parts(s: &str) -> (&str, Vec<&str>) {
-    let mut it = s.split(':');
-    let kind = it.next().unwrap_or_default();
-    (kind, it.collect())
-}
-
-fn param<T: std::str::FromStr>(p: &[&str], i: usize, default: T) -> Result<T, String> {
-    match p.get(i) {
-        None => Ok(default),
-        Some(s) => s.parse().map_err(|_| format!("bad parameter `{s}`")),
-    }
-}
-
-/// Parses a server attack: `kind[:param...]`, paper parameters as
-/// defaults (`noise`→std 1.0, `random`→[-10,10], `safeguard`→γ 0.6,
-/// `backward`→delay 2).
-fn parse_attack(s: &str) -> Result<AttackKind, String> {
-    let (kind, p) = parts(s);
-    Ok(match kind {
-        "benign" => AttackKind::Benign,
-        "noise" => AttackKind::Noise { std: param(&p, 0, 1.0)? },
-        "random" => AttackKind::Random { lo: param(&p, 0, -10.0)?, hi: param(&p, 1, 10.0)? },
-        "safeguard" => AttackKind::Safeguard { gamma: param(&p, 0, 0.6)? },
-        "backward" => AttackKind::Backward { delay: param(&p, 0, 2)? },
-        "signflip" => AttackKind::SignFlip { scale: param(&p, 0, 1.0)? },
-        "zero" => AttackKind::Zero,
-        "alie" => AttackKind::Alie { z: param(&p, 0, 1.0)? },
-        "ipm" => AttackKind::Ipm { epsilon: param(&p, 0, 0.5)? },
-        other => return Err(format!("unknown attack `{other}`")),
-    })
-}
-
-/// Parses a client attack: `kind[:param...]`.
-fn parse_client_attack(s: &str) -> Result<ClientAttackKind, String> {
-    let (kind, p) = parts(s);
-    Ok(match kind {
-        "signflip" => ClientAttackKind::SignFlip { scale: param(&p, 0, 1.0)? },
-        "noise" => ClientAttackKind::Noise { std: param(&p, 0, 1.0)? },
-        "random" => ClientAttackKind::Random { lo: param(&p, 0, -10.0)?, hi: param(&p, 1, 10.0)? },
-        "amplify" => ClientAttackKind::Amplify { factor: param(&p, 0, 10.0)? },
-        "labelflip" => ClientAttackKind::LabelFlip { offset: param(&p, 0, 1)? },
-        other => return Err(format!("unknown client attack `{other}`")),
-    })
-}
-
-/// Parses a filter: `kind[:param...]`. `trimmed:matched` → β = b/p;
-/// `adaptive:matched` → trim = b.
-fn parse_filter(s: &str, b: usize, p_servers: usize) -> Result<FilterKind, String> {
-    let (kind, p) = parts(s);
-    Ok(match kind {
-        "mean" => FilterKind::Mean,
-        "trimmed" => {
-            if p.first() == Some(&"matched") {
-                if p_servers == 0 {
-                    return Err("matched trim rate needs servers > 0".into());
-                }
-                FilterKind::fedms(b, p_servers)
-            } else {
-                FilterKind::TrimmedMean { beta: param(&p, 0, 0.2)? }
-            }
-        }
-        "adaptive" => {
-            if p.first() == Some(&"matched") {
-                FilterKind::fedms_adaptive(b)
-            } else {
-                FilterKind::AdaptiveTrimmedMean { trim: param(&p, 0, 1)? }
-            }
-        }
-        "median" => FilterKind::Median,
-        "krum" => FilterKind::Krum { f: param(&p, 0, 1)? },
-        "multikrum" => FilterKind::MultiKrum { f: param(&p, 0, 1)?, m: param(&p, 1, 2)? },
-        "geomedian" => FilterKind::GeometricMedian,
-        "bulyan" => FilterKind::Bulyan { f: param(&p, 0, 1)? },
-        "centeredclip" => FilterKind::CenteredClip { tau: param(&p, 0, 1.0)? },
-        "normbound" => FilterKind::NormBound { factor: param(&p, 0, 3.0)? },
-        other => return Err(format!("unknown filter `{other}`")),
-    })
-}
-
-/// Parses an upload strategy: `sparse`, `full` or `redundant:<k>`.
-fn parse_upload(s: &str) -> Result<UploadStrategy, String> {
-    let (kind, p) = parts(s);
-    Ok(match kind {
-        "sparse" => UploadStrategy::Sparse,
-        "full" => UploadStrategy::Full,
-        "redundant" => UploadStrategy::Redundant(param(&p, 0, 2)?),
-        other => return Err(format!("unknown upload strategy `{other}`")),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fedms_attacks::AttackKind;
+    use fedms_core::FilterKind;
 
     const FIG3ISH: &str = r#"
 [experiment]
@@ -743,38 +510,11 @@ filter = ["trimmed:matched", "mean"]
                 "unknown attack",
             ),
             ("[experiment]\nname = \"x\"\nscale = \"tiny\"\n[base]\nbyzantine = 9\n", "byzantine"),
+            ("[experiment]\nname = \"x\"\n[base]\nretry_budget = 4294967297\n", "retry_budget"),
         ] {
             let e = SweepSpec::parse(text).unwrap_err();
             assert!(e.to_string().contains(needle), "{text:?} -> {e}");
         }
-    }
-
-    #[test]
-    fn attack_filter_upload_parsers() {
-        assert_eq!(parse_attack("noise").unwrap(), AttackKind::Noise { std: 1.0 });
-        assert_eq!(parse_attack("noise:2.5").unwrap(), AttackKind::Noise { std: 2.5 });
-        assert_eq!(parse_attack("random:-1:1").unwrap(), AttackKind::Random { lo: -1.0, hi: 1.0 });
-        assert_eq!(parse_attack("backward:5").unwrap(), AttackKind::Backward { delay: 5 });
-        assert!(parse_attack("noise:abc").is_err());
-        assert_eq!(
-            parse_filter("trimmed:0.3", 0, 10).unwrap(),
-            FilterKind::TrimmedMean { beta: 0.3 }
-        );
-        assert_eq!(
-            parse_filter("trimmed:matched", 3, 10).unwrap(),
-            FilterKind::TrimmedMean { beta: 0.3 }
-        );
-        assert_eq!(
-            parse_filter("adaptive:matched", 2, 10).unwrap(),
-            FilterKind::AdaptiveTrimmedMean { trim: 2 }
-        );
-        assert_eq!(
-            parse_filter("multikrum:2:4", 0, 10).unwrap(),
-            FilterKind::MultiKrum { f: 2, m: 4 }
-        );
-        assert_eq!(parse_upload("redundant:3").unwrap(), UploadStrategy::Redundant(3));
-        assert!(parse_filter("quantum", 0, 10).is_err());
-        assert!(parse_upload("carrier-pigeon").is_err());
     }
 
     #[test]

@@ -75,10 +75,7 @@ pub use recovery::{
 };
 pub use server::Server;
 pub use store::Partitions;
-pub use threat::{
-    parse_attack_kind, NetThreat, ThreatEpoch, ThreatSchedule, ThreatView,
-    DEFAULT_COMPROMISE_ATTACK,
-};
+pub use threat::{NetThreat, ThreatEpoch, ThreatSchedule, ThreatView, DEFAULT_COMPROMISE_ATTACK};
 pub use topology::Topology;
 pub use transport::{
     Broadcast, Delivery, DeliveryOutcome, Dissemination, LocalTransport, Transport, Upload,

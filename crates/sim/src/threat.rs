@@ -49,6 +49,9 @@
 //! kind      := name (':' param)*     e.g. noise:1.0, random:-10:10, ipm:0.5
 //! ```
 //!
+//! `kind` is [`AttackKind::parse`]'s grammar, the same one sweep specs use
+//! for `attack`: missing trailing parameters take the paper defaults.
+//!
 //! Example: `50..80:compromise=1|3,attack=random:-10:10;60..:partition=2`
 //! compromises servers 1 and 3 for rounds 50–79 with the paper's random
 //! attack, and partitions server 2 from round 60 onward.
@@ -289,7 +292,11 @@ impl ThreatSchedule {
                 match key.trim() {
                     "compromise" => epoch.compromise = parse_ids(value)?,
                     "partition" => epoch.partition = parse_ids(value)?,
-                    "attack" => epoch.attack = Some(parse_attack_kind(value.trim())?),
+                    "attack" => {
+                        let kind = AttackKind::parse(value.trim());
+                        epoch.attack =
+                            Some(kind.map_err(|e| SimError::BadConfig(format!("attack: {e}")))?);
+                    }
                     "corrupt" => {
                         epoch.corrupt_rate = value.trim().parse().map_err(|_| {
                             SimError::BadConfig(format!("bad corrupt rate '{}'", value.trim()))
@@ -315,54 +322,6 @@ fn parse_usize(what: &str, s: &str) -> Result<usize> {
 
 fn parse_ids(s: &str) -> Result<Vec<usize>> {
     s.split('|').map(|id| parse_usize("server id", id)).collect()
-}
-
-/// Parses the compact `name[:param[:param]]` attack form used by the
-/// schedule grammar and experiment specs, e.g. `noise:1.0`, `random:-10:10`,
-/// `safeguard:0.6`, `backward:2`, `ipm:0.5`.
-///
-/// # Errors
-///
-/// Returns [`SimError::BadConfig`] for unknown names or malformed
-/// parameters.
-pub fn parse_attack_kind(spec: &str) -> Result<AttackKind> {
-    let mut parts = spec.split(':');
-    let name = parts.next().unwrap_or("").trim();
-    let params: Vec<&str> = parts.map(str::trim).collect();
-    let bad = |what: &str| SimError::BadConfig(format!("attack '{spec}': {what}"));
-    let float =
-        |s: &str| -> Result<f32> { s.parse().map_err(|_| bad(&format!("bad number '{s}'"))) };
-    let one = || -> Result<&str> {
-        match params.as_slice() {
-            [p] => Ok(p),
-            _ => Err(bad("expected exactly one parameter")),
-        }
-    };
-    Ok(match name {
-        "benign" => {
-            if !params.is_empty() {
-                return Err(bad("takes no parameters"));
-            }
-            AttackKind::Benign
-        }
-        "zero" => {
-            if !params.is_empty() {
-                return Err(bad("takes no parameters"));
-            }
-            AttackKind::Zero
-        }
-        "noise" => AttackKind::Noise { std: float(one()?)? },
-        "random" => match params.as_slice() {
-            [lo, hi] => AttackKind::Random { lo: float(lo)?, hi: float(hi)? },
-            _ => return Err(bad("expected random:LO:HI")),
-        },
-        "safeguard" => AttackKind::Safeguard { gamma: float(one()?)? },
-        "backward" => AttackKind::Backward { delay: one()?.parse().map_err(|_| bad("bad delay"))? },
-        "sign_flip" => AttackKind::SignFlip { scale: float(one()?)? },
-        "alie" => AttackKind::Alie { z: float(one()?)? },
-        "ipm" => AttackKind::Ipm { epsilon: float(one()?)? },
-        other => return Err(bad(&format!("unknown attack kind '{other}'"))),
-    })
 }
 
 #[cfg(test)]
@@ -462,7 +421,7 @@ mod tests {
             "x..2:compromise=1",      // bad start
             "1..y:compromise=1",      // bad end
             "1..2:attack=warp:1",     // unknown attack
-            "1..2:attack=random:1",   // wrong arity
+            "1..2:attack=noise:1:2",  // wrong arity
             "1..2:compromise",        // directive without '='
         ] {
             if bad == "5..3:compromise=1" {
@@ -472,31 +431,6 @@ mod tests {
                 assert!(ThreatSchedule::parse(bad).is_err(), "{bad} should fail to parse");
             }
         }
-    }
-
-    #[test]
-    fn parse_attack_kinds() {
-        assert_eq!(parse_attack_kind("benign").unwrap(), AttackKind::Benign);
-        assert_eq!(parse_attack_kind("zero").unwrap(), AttackKind::Zero);
-        assert_eq!(parse_attack_kind("noise:1.5").unwrap(), AttackKind::Noise { std: 1.5 });
-        assert_eq!(
-            parse_attack_kind("random:-10:10").unwrap(),
-            AttackKind::Random { lo: -10.0, hi: 10.0 }
-        );
-        assert_eq!(
-            parse_attack_kind("safeguard:0.6").unwrap(),
-            AttackKind::Safeguard { gamma: 0.6 }
-        );
-        assert_eq!(parse_attack_kind("backward:2").unwrap(), AttackKind::Backward { delay: 2 });
-        assert_eq!(
-            parse_attack_kind("sign_flip:2.0").unwrap(),
-            AttackKind::SignFlip { scale: 2.0 }
-        );
-        assert_eq!(parse_attack_kind("alie:1.0").unwrap(), AttackKind::Alie { z: 1.0 });
-        assert_eq!(parse_attack_kind("ipm:0.5").unwrap(), AttackKind::Ipm { epsilon: 0.5 });
-        assert!(parse_attack_kind("benign:1").is_err());
-        assert!(parse_attack_kind("noise").is_err());
-        assert!(parse_attack_kind("").is_err());
     }
 
     #[test]

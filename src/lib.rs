@@ -72,10 +72,10 @@ pub use fedms_data::{
 pub use fedms_nn::{AvgPool2d, BatchNorm2d, Dropout, MaxPool2d, Sequential, Sigmoid, Tanh};
 pub use fedms_nn::{Layer, LrSchedule, Mlp, MobileNetNano, MobileNetNanoConfig, NeuralNet, Sgd};
 pub use fedms_sim::{
-    parse_attack_kind, CommStats, DegradedMode, EngineConfig, EventLog, FaultClass, FaultPlan,
-    FaultSpec, LocalTransport, ModelSpec, NetModel, NetStats, NetThreat, NetTransport,
-    RecoveryPolicy, ResilientTransport, RoundDiagnostics, RoundEvent, RoundMetrics, RunResult,
-    RunSummary, ServerFault, SimError, SimulationEngine, Snapshot, ThreatEpoch, ThreatSchedule,
-    ThreatView, Topology, Transport, UploadReport, UploadStrategy, WireError,
+    CommStats, DegradedMode, EngineConfig, EventLog, FaultClass, FaultPlan, FaultSpec,
+    LocalTransport, ModelSpec, NetModel, NetStats, NetThreat, NetTransport, RecoveryPolicy,
+    ResilientTransport, RoundDiagnostics, RoundEvent, RoundMetrics, RunResult, RunSummary,
+    ServerFault, SimError, SimulationEngine, Snapshot, ThreatEpoch, ThreatSchedule, ThreatView,
+    Topology, Transport, UploadReport, UploadStrategy, WireError,
 };
 pub use fedms_tensor::{Backend, BackendHandle, BackendKind, Shape, Tensor, TensorError};

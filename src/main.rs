@@ -21,10 +21,7 @@
 
 use fedms::exp::{SweepSpec, Trial, TrialStatus};
 use fedms::sim::net::{run_client, TcpRound};
-use fedms::{
-    AttackKind, ClientAttackKind, FedMsConfig, FilterKind, NetModel, Snapshot, Tensor,
-    TransportKind,
-};
+use fedms::{AttackKind, ClientAttackKind, FedMsConfig, Snapshot, Tensor};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -38,16 +35,31 @@ fn usage() -> ExitCode {
 /// a value that does not parse.
 const BAD_FLAG: u8 = 2;
 
-/// Reports a bad flag value and exits the enclosing command with status 2.
-macro_rules! flag {
-    ($value:expr) => {
+/// Unwraps a `Result`, or prints its error and exits the enclosing command
+/// with `$status`.
+macro_rules! or_exit {
+    ($value:expr, $status:expr) => {
         match $value {
             Ok(v) => v,
             Err(msg) => {
                 eprintln!("error: {msg}");
-                return ExitCode::from(BAD_FLAG);
+                return ExitCode::from($status);
             }
         }
+    };
+}
+
+/// Reports a bad flag value and exits the enclosing command with status 2.
+macro_rules! flag {
+    ($value:expr) => {
+        or_exit!($value, BAD_FLAG)
+    };
+}
+
+/// Reports an error and exits the enclosing command with status 1.
+macro_rules! fail {
+    ($value:expr) => {
+        or_exit!($value, 1)
     };
 }
 
@@ -81,7 +93,7 @@ fn main() -> ExitCode {
         "serve" => serve(&args[1..]),
         "client" => client(&args[1..]),
         "attacks" => {
-            println!("server attacks (FedMsConfig.attack):");
+            println!("server attacks (spec key attack):");
             for kind in [
                 AttackKind::Benign,
                 AttackKind::Noise { std: 1.0 },
@@ -95,7 +107,7 @@ fn main() -> ExitCode {
             ] {
                 println!("  {:<10} {:?}", kind.label(), kind);
             }
-            println!("client attacks (FedMsConfig.client_attack):");
+            println!("client attacks (spec key client_attack):");
             for kind in [
                 ClientAttackKind::SignFlip { scale: 1.0 },
                 ClientAttackKind::Noise { std: 1.0 },
@@ -108,18 +120,22 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "filters" => {
-            println!("client-side filters (FedMsConfig.filter / .server_filter):");
-            for kind in [
-                FilterKind::Mean,
-                FilterKind::TrimmedMean { beta: 0.2 },
-                FilterKind::AdaptiveTrimmedMean { trim: 2 },
-                FilterKind::Median,
-                FilterKind::Krum { f: 2 },
-                FilterKind::MultiKrum { f: 2, m: 4 },
-                FilterKind::GeometricMedian,
-                FilterKind::Bulyan { f: 1 },
+            println!("client-side filters (spec keys filter / server_filter):");
+            let mut cfg = FedMsConfig::tiny(0);
+            for token in [
+                "mean",
+                "trimmed:0.2",
+                "adaptive:2",
+                "median",
+                "krum:2",
+                "multikrum:2:4",
+                "geomedian",
+                "bulyan:1",
+                "centeredclip:1",
+                "normbound:3",
             ] {
-                println!("  {:<12} {:?}", kind.label(), kind);
+                fail!(cfg.apply(&[("filter", token)]));
+                println!("  {:<15} {:<16} {:?}", token, cfg.filter.label(), cfg.filter);
             }
             ExitCode::SUCCESS
         }
@@ -186,60 +202,42 @@ fn exp_run(args: &[String]) -> ExitCode {
     if dry_run {
         return exp_list(&[spec_path.to_string()]);
     }
-    let source = match std::fs::read_to_string(spec_path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: could not read {spec_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let source =
+        fail!(std::fs::read_to_string(spec_path)
+            .map_err(|e| format!("could not read {spec_path}: {e}")));
     let threads = threads.unwrap_or_else(fedms::exp::threads_from_env);
-    match fedms::exp::run_spec_in(
+    let (spec, store, report) = fail!(fedms::exp::run_spec_in(
         &source,
         std::path::Path::new(&out_dir),
         resume,
         threads,
         fedms::exp::print_progress,
-    ) {
-        Ok((spec, store, report)) => {
-            println!(
-                "sweep `{}`: {} executed, {} skipped, {} failed -> {}",
-                spec.name,
-                report.executed,
-                report.skipped,
-                report.failed,
-                store.root().display()
-            );
-            if report.failed > 0 {
-                eprintln!(
-                    "error: {} trial(s) failed; re-run to retry them (completed trials are skipped)",
-                    report.failed
-                );
-                return ExitCode::FAILURE;
-            }
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
+    ));
+    println!(
+        "sweep `{}`: {} executed, {} skipped, {} failed -> {}",
+        spec.name,
+        report.executed,
+        report.skipped,
+        report.failed,
+        store.root().display()
+    );
+    if report.failed > 0 {
+        eprintln!(
+            "error: {} trial(s) failed; re-run to retry them (completed trials are skipped)",
+            report.failed
+        );
+        return ExitCode::FAILURE;
     }
+    ExitCode::SUCCESS
 }
 
 fn exp_list(args: &[String]) -> ExitCode {
     let Some(spec_path) = args.first() else {
         return usage();
     };
-    match load_spec(spec_path) {
-        Ok((spec, trials)) => {
-            print_trials(&spec, &trials);
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    let (spec, trials) = fail!(load_spec(spec_path));
+    print_trials(&spec, &trials);
+    ExitCode::SUCCESS
 }
 
 /// Verifies a run directory: the manifest must load and every trial it
@@ -248,27 +246,9 @@ fn exp_check(args: &[String]) -> ExitCode {
     let Some(dir) = args.first() else {
         return usage();
     };
-    let store = match fedms::exp::RunStore::open_existing(std::path::Path::new(dir)) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let manifest = match store.load_manifest() {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let records = match store.all_records() {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: could not list records: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let store = fail!(fedms::exp::RunStore::open_existing(std::path::Path::new(dir)));
+    let manifest = fail!(store.load_manifest());
+    let records = fail!(store.all_records().map_err(|e| format!("could not list records: {e}")));
     let mut problems = 0usize;
     let mut completed = 0usize;
     for trial in &manifest.trials {
@@ -316,28 +296,13 @@ fn init_config(args: &[String]) -> ExitCode {
     let Some(path) = args.first() else {
         return usage();
     };
-    let cfg = match FedMsConfig::paper_defaults(42) {
-        Ok(mut cfg) => {
-            cfg.byzantine_count = 2;
-            cfg.attack = AttackKind::Random { lo: -10.0, hi: 10.0 };
-            cfg
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let body = match serde_json::to_string_pretty(&cfg) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("error: could not serialise config: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Err(e) = std::fs::write(path, body) {
-        eprintln!("error: could not write {path}: {e}");
-        return ExitCode::FAILURE;
-    }
+    let mut cfg = fail!(FedMsConfig::paper_defaults(42));
+    cfg.byzantine_count = 2;
+    cfg.attack = AttackKind::Random { lo: -10.0, hi: 10.0 };
+    let body =
+        fail!(serde_json::to_string_pretty(&cfg)
+            .map_err(|e| format!("could not serialise config: {e}")));
+    fail!(std::fs::write(path, body).map_err(|e| format!("could not write {path}: {e}")));
     println!("wrote template config to {path}; edit and `fedms run {path}`");
     ExitCode::SUCCESS
 }
@@ -351,23 +316,8 @@ fn compare(args: &[String]) -> ExitCode {
         "config", "final acc", "best acc", "rnds to 90%", "upload MiB"
     );
     for path in args {
-        let cfg: FedMsConfig = match std::fs::read_to_string(path)
-            .map_err(|e| e.to_string())
-            .and_then(|body| serde_json::from_str(&body).map_err(|e| e.to_string()))
-        {
-            Ok(cfg) => cfg,
-            Err(e) => {
-                eprintln!("error: could not load {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let result = match cfg.run() {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("error: {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+        let cfg = fail!(load_config(path));
+        let result = fail!(cfg.run().map_err(|e| format!("{path}: {e}")));
         let Some(summary) = result.summary() else {
             eprintln!("error: {path}: run produced no evaluated rounds");
             return ExitCode::FAILURE;
@@ -388,172 +338,92 @@ fn compare(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// Reads a JSON experiment config.
+fn load_config(path: &str) -> Result<FedMsConfig, String> {
+    std::fs::read_to_string(path)
+        .map_err(|e| e.to_string())
+        .and_then(|body| serde_json::from_str(&body).map_err(|e| e.to_string()))
+        .map_err(|e| format!("could not load {path}: {e}"))
+}
+
+/// `fedms run` flags that alias a [`FedMsConfig::apply`] key:
+/// `(flag, key, value)`, where a switch carries its fixed value and every
+/// other flag takes the next argument.
+const RUN_FLAGS: &[(&str, &str, Option<&str>)] = &[
+    ("--rounds", "rounds", None),
+    ("--crash", "crashed_servers", None),
+    ("--crash-round", "crash_round", None),
+    ("--stragglers", "straggler_servers", None),
+    ("--straggler-delay", "straggler_delay", None),
+    ("--downlink-omission", "downlink_omission", None),
+    ("--duplicate-rate", "duplicate_rate", None),
+    ("--retry-budget", "retry_budget", None),
+    ("--attempt-timeout", "attempt_timeout_ms", None),
+    ("--backoff-base", "backoff_base_ms", None),
+    ("--failover", "failover", Some("true")),
+    ("--proceed-degraded", "proceed_degraded", Some("true")),
+    ("--transport", "transport", None),
+    ("--net-profile", "net_profile", None),
+    ("--threat-schedule", "threat_schedule", None),
+    ("--estimate-b", "estimate_b", Some("true")),
+    ("--backend", "backend", None),
+];
+
 fn run(args: &[String]) -> ExitCode {
     let mut config_path: Option<&str> = None;
     let mut out_path: Option<&str> = None;
-    let mut rounds: Option<usize> = None;
     let mut seed: Option<u64> = None;
     let mut save_checkpoint: Option<&str> = None;
     let mut resume: Option<&str> = None;
-    let mut crash: Option<usize> = None;
-    let mut crash_round: Option<usize> = None;
-    let mut stragglers: Option<usize> = None;
-    let mut straggler_delay: Option<usize> = None;
-    let mut downlink_omission: Option<f64> = None;
-    let mut duplicate_rate: Option<f64> = None;
-    let mut retry_budget: Option<u32> = None;
-    let mut attempt_timeout: Option<u64> = None;
-    let mut backoff_base: Option<u64> = None;
-    let mut failover = false;
-    let mut proceed_degraded = false;
-    let mut transport: Option<&str> = None;
-    let mut net_profile: Option<&str> = None;
-    let mut threat_schedule: Option<&str> = None;
-    let mut estimate_b = false;
-    let mut backend: Option<&str> = None;
+    // (flag, key, value) in command-line order.
+    let mut overrides: Vec<(&str, &str, &str)> = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--out" => out_path = Some(flag!(flag_value(arg, &mut it))),
-            "--rounds" => rounds = Some(flag!(flag_parse(arg, &mut it))),
             "--seed" => seed = Some(flag!(flag_parse(arg, &mut it))),
             "--save-checkpoint" => save_checkpoint = Some(flag!(flag_value(arg, &mut it))),
             "--resume" => resume = Some(flag!(flag_value(arg, &mut it))),
-            "--crash" => crash = Some(flag!(flag_parse(arg, &mut it))),
-            "--crash-round" => crash_round = Some(flag!(flag_parse(arg, &mut it))),
-            "--stragglers" => stragglers = Some(flag!(flag_parse(arg, &mut it))),
-            "--straggler-delay" => straggler_delay = Some(flag!(flag_parse(arg, &mut it))),
-            "--downlink-omission" => downlink_omission = Some(flag!(flag_parse(arg, &mut it))),
-            "--duplicate-rate" => duplicate_rate = Some(flag!(flag_parse(arg, &mut it))),
-            "--retry-budget" => retry_budget = Some(flag!(flag_parse(arg, &mut it))),
-            "--attempt-timeout" => attempt_timeout = Some(flag!(flag_parse(arg, &mut it))),
-            "--backoff-base" => backoff_base = Some(flag!(flag_parse(arg, &mut it))),
-            "--failover" => failover = true,
-            "--proceed-degraded" => proceed_degraded = true,
-            "--transport" => transport = Some(flag!(flag_value(arg, &mut it))),
-            "--net-profile" => net_profile = Some(flag!(flag_value(arg, &mut it))),
-            "--threat-schedule" => threat_schedule = Some(flag!(flag_value(arg, &mut it))),
-            "--estimate-b" => estimate_b = true,
-            "--backend" => backend = Some(flag!(flag_value(arg, &mut it))),
-            other if !other.starts_with("--") && config_path.is_none() => config_path = Some(other),
-            other => {
-                eprintln!("error: unrecognised argument {other}");
-                return usage();
-            }
+            other => match RUN_FLAGS.iter().find(|(flag, ..)| *flag == other) {
+                Some(&(flag, key, switch)) => {
+                    let value = match switch {
+                        Some(value) => value,
+                        None => flag!(flag_value(flag, &mut it)),
+                    };
+                    overrides.push((flag, key, value));
+                }
+                None if !other.starts_with("--") && config_path.is_none() => {
+                    config_path = Some(other)
+                }
+                None => {
+                    eprintln!("error: unrecognised argument {other}");
+                    return usage();
+                }
+            },
         }
     }
 
     let mut cfg = match config_path {
-        Some(path) => match std::fs::read_to_string(path)
-            .map_err(|e| e.to_string())
-            .and_then(|body| serde_json::from_str::<FedMsConfig>(&body).map_err(|e| e.to_string()))
-        {
-            Ok(cfg) => cfg,
-            Err(e) => {
-                eprintln!("error: could not load {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => match FedMsConfig::paper_defaults(42) {
-            Ok(cfg) => cfg,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
+        Some(path) => fail!(load_config(path)),
+        None => fail!(FedMsConfig::paper_defaults(42)),
     };
-    if let Some(r) = rounds {
-        cfg.rounds = r;
+    for (flag, key, value) in overrides {
+        flag!(cfg.apply(&[(key, value)]).map_err(|e| format!("{flag}: {e}")));
     }
     if let Some(s) = seed {
         cfg.seed = s;
     }
-    if let Some(n) = crash {
-        cfg.fault.crashed_servers = n;
-    }
-    if let Some(r) = crash_round {
-        cfg.fault.crash_round = r;
-    }
-    if let Some(n) = stragglers {
-        cfg.fault.straggler_servers = n;
-        if cfg.fault.straggler_delay == 0 {
-            cfg.fault.straggler_delay = 1;
-        }
-    }
-    if let Some(d) = straggler_delay {
-        cfg.fault.straggler_delay = d;
-    }
-    if let Some(p) = downlink_omission {
-        cfg.fault.downlink_omission = p;
-    }
-    if let Some(p) = duplicate_rate {
-        cfg.fault.duplicate_rate = p;
-    }
-    if let Some(n) = retry_budget {
-        cfg.recovery.retry_budget = n;
-    }
-    if let Some(ms) = attempt_timeout {
-        cfg.recovery.attempt_timeout_ms = ms;
-    }
-    if let Some(ms) = backoff_base {
-        cfg.recovery.backoff_base_ms = ms;
-        cfg.recovery.backoff_cap_ms = cfg.recovery.backoff_cap_ms.max(ms);
-    }
-    if failover {
-        cfg.recovery.failover = true;
-    }
-    if proceed_degraded {
-        cfg.recovery.on_degraded = fedms::DegradedMode::Proceed;
-    }
-    match transport {
-        None => {}
-        Some("local") => cfg.transport = TransportKind::Local,
-        Some("net") => cfg.transport = TransportKind::Net,
-        Some(other) => {
-            eprintln!("error: unknown transport {other} (expected local or net)");
-            return usage();
-        }
-    }
-    match net_profile {
-        None => {}
-        Some("ideal") => cfg.net_model = NetModel::ideal(),
-        Some("edge") => cfg.net_model = NetModel::edge(),
-        Some(other) => {
-            eprintln!("error: unknown net profile {other} (expected ideal or edge)");
-            return usage();
-        }
-    }
-    if let Some(name) = backend {
-        cfg.backend = match fedms::BackendKind::parse(name) {
-            Ok(kind) => kind,
-            Err(e) => {
-                eprintln!("error: bad --backend: {e}");
-                return usage();
-            }
-        };
-    }
-    if let Some(spec) = threat_schedule {
-        cfg.threat = match fedms::ThreatSchedule::parse(spec) {
-            Ok(schedule) => schedule,
-            Err(e) => {
-                eprintln!("error: bad --threat-schedule: {e}");
-                return usage();
-            }
-        };
-    }
-    if estimate_b {
-        cfg.estimator = fedms::EstimatorPolicy::enabled();
-    }
 
     println!(
-        "fed-ms run: K={} P={} B={} attack={} filter={} rounds={} seed={}",
+        "fed-ms run: K={} P={} B={} attack={} filter={} rounds={} seed={} config={}",
         cfg.clients,
         cfg.servers,
         cfg.byzantine_count,
         cfg.attack.label(),
         cfg.filter.label(),
         cfg.rounds,
-        cfg.seed
+        cfg.seed,
+        cfg.stable_hash_hex()
     );
     if !cfg.fault.is_trivial() {
         println!(
@@ -597,29 +467,16 @@ fn run(args: &[String]) -> ExitCode {
             }
         );
     }
-    let mut engine = match cfg.build_engine() {
-        Ok(e) => e,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let mut engine = fail!(cfg.build_engine());
     println!("transport: {}", engine.transport().name());
     if let Some(path) = resume {
-        let snapshot: Snapshot = match std::fs::read_to_string(path)
+        let snapshot: Snapshot = fail!(std::fs::read_to_string(path)
             .map_err(|e| e.to_string())
             .and_then(|body| serde_json::from_str(&body).map_err(|e| e.to_string()))
-        {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("error: could not load checkpoint {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Err(e) = engine.restore(&snapshot) {
-            eprintln!("error: checkpoint does not fit this config: {e}");
-            return ExitCode::FAILURE;
-        }
+            .map_err(|e| format!("could not load checkpoint {path}: {e}")));
+        fail!(engine
+            .restore(&snapshot)
+            .map_err(|e| format!("checkpoint does not fit this config: {e}")));
         println!("resumed from {path} at round {}", snapshot.round);
     }
     let result = match engine.run(cfg.rounds) {
@@ -652,19 +509,11 @@ fn run(args: &[String]) -> ExitCode {
         }
     };
     if let Some(path) = save_checkpoint {
-        match serde_json::to_string(&engine.snapshot()) {
-            Ok(body) => {
-                if let Err(e) = std::fs::write(path, body) {
-                    eprintln!("error: could not write checkpoint {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                println!("checkpoint saved to {path} (round {})", engine.round());
-            }
-            Err(e) => {
-                eprintln!("error: could not serialise checkpoint: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        let body = fail!(serde_json::to_string(&engine.snapshot())
+            .map_err(|e| format!("could not serialise checkpoint: {e}")));
+        fail!(std::fs::write(path, body)
+            .map_err(|e| format!("could not write checkpoint {path}: {e}")));
+        println!("checkpoint saved to {path} (round {})", engine.round());
     }
     println!("{:>6} {:>10} {:>12}", "round", "accuracy", "train loss");
     for m in &result.rounds {
@@ -692,19 +541,10 @@ fn run(args: &[String]) -> ExitCode {
         );
     }
     if let Some(path) = out_path {
-        match serde_json::to_string_pretty(&result) {
-            Ok(body) => {
-                if let Err(e) = std::fs::write(path, body) {
-                    eprintln!("error: could not write {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                println!("wrote metrics to {path}");
-            }
-            Err(e) => {
-                eprintln!("error: could not serialise metrics: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        let body = fail!(serde_json::to_string_pretty(&result)
+            .map_err(|e| format!("could not serialise metrics: {e}")));
+        fail!(std::fs::write(path, body).map_err(|e| format!("could not write {path}: {e}")));
+        println!("wrote metrics to {path}");
     }
     ExitCode::SUCCESS
 }
@@ -730,30 +570,13 @@ fn serve(args: &[String]) -> ExitCode {
     let Some(addr) = addr else {
         return usage();
     };
-    let round = match TcpRound::bind(addr) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: could not bind {addr}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match round.local_addr() {
-        Ok(bound) => println!(
-            "serving one round on {bound} (waiting for {expect} upload{})",
-            if expect == 1 { "" } else { "s" }
-        ),
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    let report = match round.serve(expect) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let round = fail!(TcpRound::bind(addr).map_err(|e| format!("could not bind {addr}: {e}")));
+    let bound = fail!(round.local_addr());
+    println!(
+        "serving one round on {bound} (waiting for {expect} upload{})",
+        if expect == 1 { "" } else { "s" }
+    );
+    let report = fail!(round.serve(expect));
     println!(
         "round complete: {} uploads, {} frames read, {} frames written",
         report.uploads, report.frames_read, report.frames_written
@@ -795,21 +618,14 @@ fn client(args: &[String]) -> ExitCode {
     }
     let fill = value.unwrap_or(client_id as f32);
     let model = Tensor::from_slice(&vec![fill; dim]);
-    match run_client(addr, client_id, &model) {
-        Ok((contributors, aggregate)) => {
-            println!(
-                "uploaded {dim} coordinates as client {client_id}; \
-                 aggregate over {contributors} contributor{}: {}",
-                if contributors == 1 { "" } else { "s" },
-                preview_tensor(&aggregate)
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    let (contributors, aggregate) = fail!(run_client(addr, client_id, &model));
+    println!(
+        "uploaded {dim} coordinates as client {client_id}; \
+         aggregate over {contributors} contributor{}: {}",
+        if contributors == 1 { "" } else { "s" },
+        preview_tensor(&aggregate)
+    );
+    ExitCode::SUCCESS
 }
 
 /// Formats the first few coordinates of a tensor for terminal output.

@@ -30,7 +30,9 @@ fn attacks_and_filters_list() {
     let out = fedms().arg("filters").output().expect("binary runs");
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
-    for needle in ["fed-ms", "vanilla", "krum", "bulyan"] {
+    for needle in
+        ["fed-ms", "vanilla", "krum", "bulyan", "centeredclip", "normbound", "trimmed:0.2"]
+    {
         assert!(text.contains(needle), "filter list missing {needle}");
     }
 }
@@ -129,6 +131,11 @@ fn bad_or_missing_flag_values_exit_2_naming_flag_and_value() {
         (&["run", "--crash", "abc"][..], &["--crash", "\"abc\""][..]),
         (&["run", "--rounds"][..], &["--rounds", "needs a value"][..]),
         (&["client", "127.0.0.1:1", "--dim", "x"][..], &["--dim", "\"x\""][..]),
+        (&["run", "--transport", "carrier-pigeon"][..], &["--transport", "\"carrier-pigeon\""][..]),
+        (
+            &["run", "--threat-schedule", "1..: wat=3"][..],
+            &["--threat-schedule", "\"1..: wat=3\""][..],
+        ),
     ] {
         let out = fedms().args(args).output().expect("binary runs");
         assert_eq!(out.status.code(), Some(2), "{args:?}");
