@@ -8,8 +8,9 @@ use crate::Result;
 ///
 /// The contract is the classic cached-activation scheme:
 ///
-/// 1. [`Layer::forward`] computes the output for a batch and caches whatever
-///    it needs for the backward pass.
+/// 1. [`Layer::forward`] computes the output for a batch and, in training
+///    mode ([`Layer::set_training`]), caches whatever it needs for the
+///    backward pass.
 /// 2. [`Layer::backward`] consumes the gradient of the loss with respect to
 ///    the layer's *output*, **accumulates** gradients into the layer's
 ///    parameter-gradient buffers, and returns the gradient with respect to
@@ -26,8 +27,8 @@ pub trait Layer: Send {
     /// A short human-readable layer name used in error messages.
     fn name(&self) -> &'static str;
 
-    /// Computes the layer output for `input`, caching activations needed by
-    /// [`Layer::backward`].
+    /// Computes the layer output for `input`, caching the activations
+    /// [`Layer::backward`] needs when in training mode.
     ///
     /// # Errors
     ///
@@ -62,10 +63,20 @@ pub trait Layer: Send {
         self.params().iter().map(|p| p.len()).sum()
     }
 
-    /// Switches between training and inference behaviour. Most layers are
-    /// mode-free (default no-op); layers with distinct behaviours
-    /// (e.g. [`crate::BatchNorm2d`]'s batch statistics vs running
-    /// statistics) override this. Containers must propagate the call.
+    /// Switches between training (`true`, the mode every layer starts in)
+    /// and inference behaviour. Containers must propagate the call.
+    ///
+    /// In inference mode the layers of [`crate::Mlp`] and
+    /// [`crate::MobileNetNano`] (linear, convolutions, activations, global
+    /// average pooling and the inverted-residual blocks) keep no backward
+    /// cache: they compute the same output bits as in training, and a
+    /// [`Layer::backward`] right after an inference forward returns
+    /// [`crate::NnError::NoForwardCache`]. Layers with distinct inference
+    /// arithmetic override this too: [`crate::BatchNorm2d`] switches to its
+    /// running statistics and keeps its cache, since its inference backward
+    /// is a gradient-checked affine map, and [`crate::Dropout`] becomes the
+    /// identity. The default is a no-op for mode-free layers (the other
+    /// pooling and reshaping layers).
     fn set_training(&mut self, _training: bool) {}
 
     /// Routes this layer's dense kernels through `backend`. Layers whose

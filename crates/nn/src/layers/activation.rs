@@ -7,15 +7,22 @@ use crate::{Layer, NnError, Result};
 macro_rules! activation_layer {
     ($(#[$doc:meta])* $name:ident, $tag:literal, $fwd:expr, $gate:expr) => {
         $(#[$doc])*
-        #[derive(Debug, Clone, Default)]
+        #[derive(Debug, Clone)]
         pub struct $name {
             cached_input: Option<Tensor>,
+            training: bool,
         }
 
         impl $name {
-            /// Creates the activation layer.
+            /// Creates the activation layer (in training mode).
             pub fn new() -> Self {
-                Self { cached_input: None }
+                Self { cached_input: None, training: true }
+            }
+        }
+
+        impl Default for $name {
+            fn default() -> Self {
+                Self::new()
             }
         }
 
@@ -25,7 +32,7 @@ macro_rules! activation_layer {
             }
 
             fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
-                self.cached_input = Some(input.clone());
+                self.cached_input = self.training.then(|| input.clone());
                 Ok(input.map($fwd))
             }
 
@@ -62,6 +69,10 @@ macro_rules! activation_layer {
             }
 
             fn zero_grads(&mut self) {}
+
+            fn set_training(&mut self, training: bool) {
+                self.training = training;
+            }
         }
     };
 }

@@ -1,6 +1,6 @@
-//! Convolutional layers (standard and depthwise), computed via im2col.
+//! Convolutional layers: standard (im2col + GEMM, lowering-free at 1×1) and
+//! depthwise (a direct kernel over a zero-padded input).
 
-use fedms_tensor::pool::{BufferPool, PoolStats};
 use fedms_tensor::{BackendHandle, Conv2dGeometry, Tensor, TensorError};
 use rand::Rng;
 
@@ -19,16 +19,31 @@ fn check_input_4d(input: &Tensor, c: usize, h: usize, w: usize) -> Result<usize>
     Ok(d[0])
 }
 
+/// Checks that `grad_out` is `(batch, c, h, w)` for the `batch` samples the
+/// cached forward saw.
+fn check_grad_out(grad_out: &Tensor, batch: usize, c: usize, h: usize, w: usize) -> Result<()> {
+    if grad_out.dims() != [batch, c, h, w] {
+        return Err(NnError::Tensor(TensorError::ShapeMismatch {
+            left: grad_out.dims().to_vec(),
+            right: vec![batch, c, h, w],
+        }));
+    }
+    Ok(())
+}
+
 /// A standard 2-D convolution: `out_c` filters over all input channels.
 ///
 /// * input: `(batch, in_c, H, W)`
 /// * output: `(batch, out_c, out_h, out_w)`
 /// * weight: `(out_c, in_c·k·k)` (flattened filter bank), bias: `(out_c)`
 ///
-/// All scratch (column matrices, GEMM outputs) is routed through an internal
-/// [`BufferPool`], so a steady-state training loop performs no per-step
-/// heap allocation on the conv path.
-#[derive(Debug)]
+/// Each sample is lowered to its `(in_c·k·k, out_h·out_w)` column matrix
+/// and multiplied by the filter bank. A 1×1 conv with stride 1 and no
+/// padding skips the lowering, which is the identity there. A training
+/// forward keeps the batch's column matrices in one contiguous buffer for
+/// the backward pass; an inference forward keeps nothing. The buffers are
+/// reused, so a steady-state training loop does not grow them.
+#[derive(Debug, Clone)]
 pub struct Conv2d {
     geom: Conv2dGeometry,
     out_channels: usize,
@@ -36,27 +51,15 @@ pub struct Conv2d {
     bias: Tensor,
     grad_weight: Tensor,
     grad_bias: Tensor,
-    cached_cols: Vec<Tensor>,
+    /// The last training forward's column matrices, one
+    /// `(col_rows × col_cols)` block per sample.
+    cols: Vec<f32>,
+    /// Samples whose columns `cols` holds; 0 when no forward is cached.
+    cached_batch: usize,
+    /// One sample's scratch: inference columns, backward `dW` and `dCols`.
+    scratch: Vec<f32>,
+    training: bool,
     backend: BackendHandle,
-    scratch: BufferPool,
-}
-
-impl Clone for Conv2d {
-    fn clone(&self) -> Self {
-        // Scratch buffers are value-transparent: a clone starts with a
-        // fresh, empty pool.
-        Conv2d {
-            geom: self.geom,
-            out_channels: self.out_channels,
-            weight: self.weight.clone(),
-            bias: self.bias.clone(),
-            grad_weight: self.grad_weight.clone(),
-            grad_bias: self.grad_bias.clone(),
-            cached_cols: self.cached_cols.clone(),
-            backend: self.backend,
-            scratch: BufferPool::new(),
-        }
-    }
 }
 
 impl Conv2d {
@@ -83,9 +86,11 @@ impl Conv2d {
             bias: Tensor::zeros(&[out_channels]),
             grad_weight: Tensor::zeros(&[out_channels, fan_in]),
             grad_bias: Tensor::zeros(&[out_channels]),
-            cached_cols: Vec::new(),
+            cols: Vec::new(),
+            cached_batch: 0,
+            scratch: Vec::new(),
+            training: true,
             backend: BackendHandle::scalar(),
-            scratch: BufferPool::new(),
         })
     }
 
@@ -98,11 +103,6 @@ impl Conv2d {
     pub fn out_channels(&self) -> usize {
         self.out_channels
     }
-
-    /// Traffic counters of the internal scratch pool (test observability).
-    pub fn scratch_stats(&self) -> PoolStats {
-        self.scratch.stats()
-    }
 }
 
 impl Layer for Conv2d {
@@ -113,100 +113,91 @@ impl Layer for Conv2d {
     fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
         let g = self.geom;
         let batch = check_input_4d(input, g.in_channels, g.in_h, g.in_w)?;
-        let vol = g.input_volume();
-        let out_plane = g.out_h * g.out_w;
-        let col_len = g.col_rows() * g.col_cols();
-        let mut out = Tensor::zeros(&[batch, self.out_channels, g.out_h, g.out_w]);
-        // Recycle last step's cached column matrices before building new ones.
-        for cols in self.cached_cols.drain(..) {
-            self.scratch.release_tensor(cols);
+        let (rows, plane, oc) = (g.col_rows(), g.col_cols(), self.out_channels);
+        let (vol, block) = (g.input_volume(), rows * plane);
+        let lowered = !g.is_pointwise();
+        self.cached_batch = 0;
+        // im2col writes the in-bounds taps only, the same ones on every
+        // call for this geometry, so padded taps keep the zeros the buffers
+        // were filled with. The cache is only ever resized; the scratch is
+        // shared with backward and refilled.
+        if self.training {
+            self.cols.resize(batch * block, 0.0);
+        } else if lowered {
+            self.scratch.clear();
+            self.scratch.resize(block, 0.0);
         }
+        let mut out = Tensor::zeros(&[batch, oc, g.out_h, g.out_w]);
         for s in 0..batch {
             let img = &input.as_slice()[s * vol..(s + 1) * vol];
-            let mut cols = self.scratch.fetch_zeroed(col_len);
-            self.backend.im2col(img, &g, &mut cols);
-            let mut y = self.scratch.fetch_zeroed(self.out_channels * out_plane);
-            self.backend.matmul(
-                self.weight.as_slice(),
-                &cols,
-                &mut y,
-                self.out_channels,
-                g.col_rows(),
-                out_plane,
-            );
-            let dst = &mut out.as_mut_slice()
-                [s * self.out_channels * out_plane..(s + 1) * self.out_channels * out_plane];
-            for oc in 0..self.out_channels {
-                let b = self.bias.as_slice()[oc];
-                for (d, &v) in dst[oc * out_plane..(oc + 1) * out_plane]
-                    .iter_mut()
-                    .zip(y[oc * out_plane..(oc + 1) * out_plane].iter())
-                {
-                    *d = v + b;
+            let dst = &mut out.as_mut_slice()[s * oc * plane..(s + 1) * oc * plane];
+            // The sample's column matrix: lowered into the batch cache or
+            // the inference scratch (im2col leaves padded taps at zero),
+            // or the image itself for a 1×1 conv.
+            let cols: &[f32] = if self.training {
+                let cols = &mut self.cols[s * block..(s + 1) * block];
+                if lowered {
+                    self.backend.im2col(img, &g, cols);
+                } else {
+                    cols.copy_from_slice(img);
+                }
+                cols
+            } else if lowered {
+                self.backend.im2col(img, &g, &mut self.scratch);
+                &self.scratch
+            } else {
+                img
+            };
+            self.backend.matmul(self.weight.as_slice(), cols, dst, oc, rows, plane);
+            for (orow, &b) in dst.chunks_exact_mut(plane).zip(self.bias.as_slice()) {
+                for d in orow {
+                    *d += b;
                 }
             }
-            self.scratch.release(y);
-            self.cached_cols.push(Tensor::from_vec(cols, &[g.col_rows(), g.col_cols()])?);
+        }
+        if self.training {
+            self.cached_batch = batch;
         }
         Ok(out)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        if self.cached_cols.is_empty() {
+        let batch = self.cached_batch;
+        if batch == 0 {
             return Err(NnError::NoForwardCache("conv2d"));
         }
         let g = self.geom;
-        let batch =
-            check_input_4d(grad_out, self.out_channels, g.out_h, g.out_w).map_err(|_| {
-                NnError::Tensor(TensorError::ShapeMismatch {
-                    left: grad_out.dims().to_vec(),
-                    right: vec![self.cached_cols.len(), self.out_channels, g.out_h, g.out_w],
-                })
-            })?;
-        if batch != self.cached_cols.len() {
-            return Err(NnError::Tensor(TensorError::ShapeMismatch {
-                left: grad_out.dims().to_vec(),
-                right: vec![self.cached_cols.len(), self.out_channels, g.out_h, g.out_w],
-            }));
-        }
-        let out_plane = g.out_h * g.out_w;
-        let vol = g.input_volume();
+        let (rows, plane, oc) = (g.col_rows(), g.col_cols(), self.out_channels);
+        check_grad_out(grad_out, batch, oc, g.out_h, g.out_w)?;
+        let (vol, block) = (g.input_volume(), rows * plane);
+        let lowered = !g.is_pointwise();
+        // `dW` is overwritten by each GEMM, `dCols` zeroed before each.
+        self.scratch.resize(oc * rows + if lowered { block } else { 0 }, 0.0);
+        let (dw, dcols) = self.scratch.split_at_mut(oc * rows);
         let mut grad_in = Tensor::zeros(&[batch, g.in_channels, g.in_h, g.in_w]);
         for s in 0..batch {
-            let go = &grad_out.as_slice()
-                [s * self.out_channels * out_plane..(s + 1) * self.out_channels * out_plane];
-            let cols = self.cached_cols[s].as_slice();
-            // dW += gradOut · colsᵀ
-            let mut dw = self.scratch.fetch_zeroed(self.out_channels * g.col_rows());
-            self.backend.matmul_transb(
-                go,
-                cols,
-                &mut dw,
-                self.out_channels,
-                out_plane,
-                g.col_rows(),
-            );
+            let go = &grad_out.as_slice()[s * oc * plane..(s + 1) * oc * plane];
+            let gi = &mut grad_in.as_mut_slice()[s * vol..(s + 1) * vol];
+            let cols = &self.cols[s * block..(s + 1) * block];
+            // dW += gradOut · colsᵀ, one per-sample product at a time.
+            self.backend.matmul_transb(go, cols, dw, oc, plane, rows);
             for (gw, &v) in self.grad_weight.as_mut_slice().iter_mut().zip(dw.iter()) {
                 *gw += v;
             }
-            self.scratch.release(dw);
             // db += row sums
-            for oc in 0..self.out_channels {
-                self.grad_bias.as_mut_slice()[oc] +=
-                    go[oc * out_plane..(oc + 1) * out_plane].iter().sum::<f32>();
+            for (gb, orow) in self.grad_bias.as_mut_slice().iter_mut().zip(go.chunks_exact(plane)) {
+                *gb += orow.iter().sum::<f32>();
             }
-            // dCols = Wᵀ · gradOut, then scatter back to image space.
-            let mut dcols = self.scratch.fetch_zeroed(g.col_rows() * out_plane);
-            self.backend.matmul_transa(
-                self.weight.as_slice(),
-                go,
-                &mut dcols,
-                g.col_rows(),
-                self.out_channels,
-                out_plane,
-            );
-            self.backend.col2im(&dcols, &g, &mut grad_in.as_mut_slice()[s * vol..(s + 1) * vol]);
-            self.scratch.release(dcols);
+            // dCols = Wᵀ · gradOut, scattered back to image space. At 1×1
+            // the scatter would add each value onto a zero, so the GEMM
+            // writes the image gradient directly.
+            if lowered {
+                dcols.fill(0.0);
+                self.backend.matmul_transa(self.weight.as_slice(), go, dcols, rows, oc, plane);
+                self.backend.col2im(dcols, &g, gi);
+            } else {
+                self.backend.matmul_transa(self.weight.as_slice(), go, gi, rows, oc, plane);
+            }
         }
         Ok(grad_in)
     }
@@ -226,6 +217,10 @@ impl Layer for Conv2d {
     fn zero_grads(&mut self) {
         self.grad_weight.scale(0.0);
         self.grad_bias.scale(0.0);
+    }
+
+    fn set_training(&mut self, training: bool) {
+        self.training = training;
     }
 
     fn set_backend(&mut self, backend: BackendHandle) {
@@ -242,33 +237,26 @@ impl Layer for Conv2d {
 ///
 /// * input/output channels are equal
 /// * weight: `(channels, k·k)`, bias: `(channels)`
-#[derive(Debug)]
+///
+/// Runs the backend's direct depthwise kernel over a zero-padded copy of
+/// the input. A training forward keeps the batch's padded input in one
+/// contiguous buffer for the backward pass; an inference forward pads one
+/// sample at a time into the same buffer and keeps nothing.
+#[derive(Debug, Clone)]
 pub struct DepthwiseConv2d {
     geom: Conv2dGeometry,
-    chan_geom: Conv2dGeometry,
     weight: Tensor,
     bias: Tensor,
     grad_weight: Tensor,
     grad_bias: Tensor,
-    cached_cols: Vec<Vec<Tensor>>,
+    /// The zero-padded input: the whole batch after a training forward,
+    /// one sample's scratch after an inference forward.
+    padded: Vec<f32>,
+    /// Samples whose padded input `padded` holds; 0 when no forward is
+    /// cached.
+    cached_batch: usize,
+    training: bool,
     backend: BackendHandle,
-    scratch: BufferPool,
-}
-
-impl Clone for DepthwiseConv2d {
-    fn clone(&self) -> Self {
-        DepthwiseConv2d {
-            geom: self.geom,
-            chan_geom: self.chan_geom,
-            weight: self.weight.clone(),
-            bias: self.bias.clone(),
-            grad_weight: self.grad_weight.clone(),
-            grad_bias: self.grad_bias.clone(),
-            cached_cols: self.cached_cols.clone(),
-            backend: self.backend,
-            scratch: BufferPool::new(),
-        }
-    }
 }
 
 impl DepthwiseConv2d {
@@ -278,33 +266,27 @@ impl DepthwiseConv2d {
     ///
     /// # Errors
     ///
-    /// Returns a tensor error if the single-channel geometry is infeasible.
+    /// Never fails for a constructed geometry; the `Result` keeps the
+    /// signature uniform with the other layer constructors.
     pub fn new<R: Rng + ?Sized>(geom: Conv2dGeometry, rng: &mut R) -> Result<Self> {
-        let chan_geom =
-            Conv2dGeometry::new(1, geom.in_h, geom.in_w, geom.kernel, geom.stride, geom.padding)?;
         let kk = geom.kernel * geom.kernel;
         let bound = (6.0f32 / kk as f32).sqrt();
         Ok(DepthwiseConv2d {
             geom,
-            chan_geom,
             weight: Tensor::rand_uniform(rng, &[geom.in_channels, kk], -bound, bound),
             bias: Tensor::zeros(&[geom.in_channels]),
             grad_weight: Tensor::zeros(&[geom.in_channels, kk]),
             grad_bias: Tensor::zeros(&[geom.in_channels]),
-            cached_cols: Vec::new(),
+            padded: Vec::new(),
+            cached_batch: 0,
+            training: true,
             backend: BackendHandle::scalar(),
-            scratch: BufferPool::new(),
         })
     }
 
     /// The convolution geometry (channel count shared between in and out).
     pub fn geometry(&self) -> &Conv2dGeometry {
         &self.geom
-    }
-
-    /// Traffic counters of the internal scratch pool (test observability).
-    pub fn scratch_stats(&self) -> PoolStats {
-        self.scratch.stats()
     }
 }
 
@@ -316,88 +298,50 @@ impl Layer for DepthwiseConv2d {
     fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
         let g = self.geom;
         let batch = check_input_4d(input, g.in_channels, g.in_h, g.in_w)?;
-        let plane = g.in_h * g.in_w;
-        let out_plane = g.out_h * g.out_w;
-        let kk = g.kernel * g.kernel;
+        let (vol, block) = (g.input_volume(), g.padded_volume());
+        self.cached_batch = 0;
+        // `pad_image` writes the interior only, so the border keeps the
+        // zeros `resize` filled it with.
+        self.padded.resize(if self.training { batch * block } else { block }, 0.0);
+        let out_vol = g.in_channels * g.col_cols();
         let mut out = Tensor::zeros(&[batch, g.in_channels, g.out_h, g.out_w]);
-        for per_chan in self.cached_cols.drain(..) {
-            for cols in per_chan {
-                self.scratch.release_tensor(cols);
-            }
-        }
         for s in 0..batch {
-            let mut per_chan = Vec::with_capacity(g.in_channels);
-            for c in 0..g.in_channels {
-                let off = (s * g.in_channels + c) * plane;
-                let chan = &input.as_slice()[off..off + plane];
-                let mut cols = self.scratch.fetch_zeroed(kk * out_plane); // (kk, out_plane)
-                self.backend.im2col(chan, &self.chan_geom, &mut cols);
-                let w = &self.weight.as_slice()[c * kk..(c + 1) * kk];
-                let b = self.bias.as_slice()[c];
-                let dst_off = (s * g.in_channels + c) * out_plane;
-                let dst = &mut out.as_mut_slice()[dst_off..dst_off + out_plane];
-                for (j, d) in dst.iter_mut().enumerate() {
-                    let mut acc = b;
-                    for (t, &wv) in w.iter().enumerate() {
-                        acc += wv * cols[t * out_plane + j];
-                    }
-                    *d = acc;
-                }
-                per_chan.push(Tensor::from_vec(cols, &[kk, out_plane])?);
-            }
-            self.cached_cols.push(per_chan);
+            let img = &input.as_slice()[s * vol..(s + 1) * vol];
+            let dst = &mut out.as_mut_slice()[s * out_vol..(s + 1) * out_vol];
+            let at = if self.training { s * block } else { 0 };
+            let padded = &mut self.padded[at..at + block];
+            g.pad_image(img, padded);
+            self.backend.depthwise_forward(
+                padded,
+                self.weight.as_slice(),
+                self.bias.as_slice(),
+                &g,
+                dst,
+            );
+        }
+        if self.training {
+            self.cached_batch = batch;
         }
         Ok(out)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        if self.cached_cols.is_empty() {
+        let batch = self.cached_batch;
+        if batch == 0 {
             return Err(NnError::NoForwardCache("depthwise_conv2d"));
         }
         let g = self.geom;
-        let batch = check_input_4d(grad_out, g.in_channels, g.out_h, g.out_w)?;
-        if batch != self.cached_cols.len() {
-            return Err(NnError::Tensor(TensorError::ShapeMismatch {
-                left: grad_out.dims().to_vec(),
-                right: vec![self.cached_cols.len(), g.in_channels, g.out_h, g.out_w],
-            }));
-        }
-        let plane = g.in_h * g.in_w;
-        let out_plane = g.out_h * g.out_w;
-        let kk = g.kernel * g.kernel;
+        check_grad_out(grad_out, batch, g.in_channels, g.out_h, g.out_w)?;
         let mut grad_in = Tensor::zeros(&[batch, g.in_channels, g.in_h, g.in_w]);
-        for s in 0..batch {
-            for c in 0..g.in_channels {
-                let go_off = (s * g.in_channels + c) * out_plane;
-                let go = &grad_out.as_slice()[go_off..go_off + out_plane];
-                let cols = &self.cached_cols[s][c];
-                // dw_c[t] += Σ_j go[j] * cols[t, j]
-                for t in 0..kk {
-                    let row = &cols.as_slice()[t * out_plane..(t + 1) * out_plane];
-                    let mut acc = 0.0f32;
-                    for (&gv, &cv) in go.iter().zip(row.iter()) {
-                        acc += gv * cv;
-                    }
-                    self.grad_weight.as_mut_slice()[c * kk + t] += acc;
-                }
-                self.grad_bias.as_mut_slice()[c] += go.iter().sum::<f32>();
-                // dcols[t, j] = w[t] * go[j], scatter via col2im.
-                let w = &self.weight.as_slice()[c * kk..(c + 1) * kk];
-                let mut dcols = self.scratch.fetch_zeroed(kk * out_plane);
-                for (t, &wv) in w.iter().enumerate() {
-                    for (j, &gv) in go.iter().enumerate() {
-                        dcols[t * out_plane + j] = wv * gv;
-                    }
-                }
-                let dst_off = (s * g.in_channels + c) * plane;
-                self.backend.col2im(
-                    &dcols,
-                    &self.chan_geom,
-                    &mut grad_in.as_mut_slice()[dst_off..dst_off + plane],
-                );
-                self.scratch.release(dcols);
-            }
-        }
+        self.backend.depthwise_backward(
+            &self.padded,
+            self.weight.as_slice(),
+            grad_out.as_slice(),
+            &g,
+            grad_in.as_mut_slice(),
+            self.grad_weight.as_mut_slice(),
+            self.grad_bias.as_mut_slice(),
+        );
         Ok(grad_in)
     }
 
@@ -416,6 +360,10 @@ impl Layer for DepthwiseConv2d {
     fn zero_grads(&mut self) {
         self.grad_weight.scale(0.0);
         self.grad_bias.scale(0.0);
+    }
+
+    fn set_training(&mut self, training: bool) {
+        self.training = training;
     }
 
     fn set_backend(&mut self, backend: BackendHandle) {
@@ -502,25 +450,6 @@ mod tests {
     }
 
     #[test]
-    fn conv_scratch_pool_reaches_steady_state() {
-        // Satellite: after warm-up, every training step must be served from
-        // recycled buffers — reuses ≫ fresh allocations.
-        let mut rng = rng_for(10, &[]);
-        let mut l = Conv2d::new(geom(2, 4, 3, 1, 1), 3, &mut rng).unwrap();
-        let x = Tensor::ones(&[2, 2, 4, 4]);
-        let go = Tensor::ones(&[2, 3, 4, 4]);
-        for _ in 0..20 {
-            l.forward(&x).unwrap();
-            l.backward(&go).unwrap();
-        }
-        let stats = l.scratch_stats();
-        assert!(
-            stats.reused >= 10 * stats.allocated,
-            "conv scratch should be pool-served at steady state: {stats:?}"
-        );
-    }
-
-    #[test]
     fn depthwise_forward_shape_and_independence() {
         let mut rng = rng_for(7, &[]);
         let mut l = DepthwiseConv2d::new(geom(2, 4, 3, 1, 1), &mut rng).unwrap();
@@ -555,19 +484,84 @@ mod tests {
     }
 
     #[test]
-    fn depthwise_scratch_pool_reaches_steady_state() {
-        let mut rng = rng_for(11, &[]);
-        let mut l = DepthwiseConv2d::new(geom(2, 4, 3, 1, 1), &mut rng).unwrap();
-        let x = Tensor::ones(&[2, 2, 4, 4]);
-        let go = Tensor::ones(&[2, 2, 4, 4]);
-        for _ in 0..20 {
-            l.forward(&x).unwrap();
-            l.backward(&go).unwrap();
+    fn caches_reach_steady_state_after_one_step() {
+        // After a warm-up step at a fixed batch, training steps and an
+        // interleaved evaluation reuse every buffer: no capacity changes.
+        let mut rng = rng_for(10, &[]);
+        let mut stem = Conv2d::new(geom(2, 5, 3, 2, 1), 3, &mut rng).unwrap();
+        let mut pointwise = Conv2d::new(geom(2, 5, 1, 1, 0), 3, &mut rng).unwrap();
+        let mut depthwise = DepthwiseConv2d::new(geom(2, 5, 3, 2, 1), &mut rng).unwrap();
+        let x = Tensor::randn(&mut rng, &[4, 2, 5, 5], 0.0, 1.0);
+        let step = |l: &mut dyn Layer| {
+            l.set_training(true);
+            let y = l.forward(&x).unwrap();
+            l.backward(&y).unwrap();
+        };
+        step(&mut stem);
+        step(&mut pointwise);
+        step(&mut depthwise);
+        let capacities = |c: &Conv2d, p: &Conv2d, d: &DepthwiseConv2d| {
+            let (cc, cs) = (c.cols.capacity(), c.scratch.capacity());
+            [cc, cs, p.cols.capacity(), p.scratch.capacity(), d.padded.capacity()]
+        };
+        let warm = capacities(&stem, &pointwise, &depthwise);
+        assert!(warm.iter().all(|&c| c > 0), "every layer caches its batch: {warm:?}");
+        for i in 0..20 {
+            step(&mut stem);
+            step(&mut pointwise);
+            step(&mut depthwise);
+            if i == 10 {
+                for l in [&mut stem as &mut dyn Layer, &mut pointwise, &mut depthwise] {
+                    l.set_training(false);
+                    l.forward(&x).unwrap();
+                }
+            }
         }
-        let stats = l.scratch_stats();
-        assert!(
-            stats.reused >= 10 * stats.allocated,
-            "depthwise scratch should be pool-served at steady state: {stats:?}"
-        );
+        assert_eq!(capacities(&stem, &pointwise, &depthwise), warm);
+    }
+
+    #[test]
+    fn inference_forward_needs_one_sample_of_scratch() {
+        let mut rng = rng_for(11, &[]);
+        let mut conv = Conv2d::new(geom(2, 4, 3, 1, 1), 3, &mut rng).unwrap();
+        let mut dw = DepthwiseConv2d::new(geom(2, 4, 3, 1, 1), &mut rng).unwrap();
+        let x = Tensor::randn(&mut rng, &[3, 2, 4, 4], 0.0, 1.0);
+        conv.set_training(false);
+        dw.set_training(false);
+        conv.forward(&x).unwrap();
+        dw.forward(&x).unwrap();
+        // One sample's columns and padded input, never the batch's.
+        assert_eq!(conv.cols.capacity(), 0);
+        assert_eq!(conv.scratch.len(), 18 * 16);
+        assert_eq!(dw.padded.len(), 2 * 6 * 6);
+    }
+
+    #[test]
+    fn backward_rejects_a_batch_other_than_the_cached_one() {
+        let mut rng = rng_for(12, &[]);
+        let mut conv = Conv2d::new(geom(1, 4, 3, 1, 1), 2, &mut rng).unwrap();
+        let mut dw = DepthwiseConv2d::new(geom(2, 4, 3, 1, 1), &mut rng).unwrap();
+        conv.forward(&Tensor::zeros(&[2, 1, 4, 4])).unwrap();
+        dw.forward(&Tensor::zeros(&[2, 2, 4, 4])).unwrap();
+        assert!(conv.backward(&Tensor::zeros(&[3, 2, 4, 4])).is_err());
+        assert!(conv.backward(&Tensor::zeros(&[2, 2, 4])).is_err());
+        assert!(dw.backward(&Tensor::zeros(&[1, 2, 4, 4])).is_err());
+        assert!(dw.backward(&Tensor::zeros(&[2, 3, 4, 4])).is_err());
+        assert!(conv.backward(&Tensor::zeros(&[2, 2, 4, 4])).is_ok());
+        assert!(dw.backward(&Tensor::zeros(&[2, 2, 4, 4])).is_ok());
+    }
+
+    #[test]
+    fn pointwise_gradient_matches_numerical() {
+        let mut rng = rng_for(13, &[]);
+        let l = Conv2d::new(geom(3, 4, 1, 1, 0), 2, &mut rng).unwrap();
+        crate::gradcheck::check_layer(Box::new(l), &[2, 3, 4, 4], 29, 3e-2).unwrap();
+    }
+
+    #[test]
+    fn strided_depthwise_gradient_matches_numerical() {
+        let mut rng = rng_for(14, &[]);
+        let l = DepthwiseConv2d::new(geom(2, 5, 3, 2, 1), &mut rng).unwrap();
+        crate::gradcheck::check_layer(Box::new(l), &[2, 2, 5, 5], 31, 3e-2).unwrap();
     }
 }

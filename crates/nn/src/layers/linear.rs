@@ -23,6 +23,7 @@ pub struct Linear {
     grad_weight: Tensor,
     grad_bias: Tensor,
     cached_input: Option<Tensor>,
+    training: bool,
     backend: BackendHandle,
 }
 
@@ -50,6 +51,7 @@ impl Linear {
             grad_weight: Tensor::zeros(&[out_features, in_features]),
             grad_bias: Tensor::zeros(&[out_features]),
             cached_input: None,
+            training: true,
             backend: BackendHandle::scalar(),
         })
     }
@@ -80,7 +82,7 @@ impl Layer for Linear {
                 *o += b;
             }
         }
-        self.cached_input = Some(input.clone());
+        self.cached_input = self.training.then(|| input.clone());
         Ok(out)
     }
 
@@ -117,6 +119,10 @@ impl Layer for Linear {
     fn zero_grads(&mut self) {
         self.grad_weight.scale(0.0);
         self.grad_bias.scale(0.0);
+    }
+
+    fn set_training(&mut self, training: bool) {
+        self.training = training;
     }
 
     fn set_backend(&mut self, backend: BackendHandle) {

@@ -8,15 +8,22 @@ use crate::{Layer, NnError, Result};
 ///
 /// Each output channel is the mean of its `H·W` spatial positions — the
 /// MobileNetV2 head before the classifier.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct GlobalAvgPool {
     cached_dims: Option<[usize; 4]>,
+    training: bool,
 }
 
 impl GlobalAvgPool {
-    /// Creates the pooling layer.
+    /// Creates the pooling layer (in training mode).
     pub fn new() -> Self {
-        GlobalAvgPool { cached_dims: None }
+        GlobalAvgPool { cached_dims: None, training: true }
+    }
+}
+
+impl Default for GlobalAvgPool {
+    fn default() -> Self {
+        GlobalAvgPool::new()
     }
 }
 
@@ -33,7 +40,7 @@ impl Layer for GlobalAvgPool {
         if h * w == 0 {
             return Err(TensorError::Empty("global average pool over empty plane").into());
         }
-        self.cached_dims = Some([b, c, h, w]);
+        self.cached_dims = self.training.then_some([b, c, h, w]);
         let plane = h * w;
         let inv = 1.0 / plane as f32;
         let src = input.as_slice();
@@ -77,6 +84,10 @@ impl Layer for GlobalAvgPool {
     }
 
     fn zero_grads(&mut self) {}
+
+    fn set_training(&mut self, training: bool) {
+        self.training = training;
+    }
 }
 
 /// Flattens `(batch, …) → (batch, volume)` and restores the shape on the

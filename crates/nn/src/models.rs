@@ -106,10 +106,12 @@ impl Layer for Mlp {
 /// One MobileNetV2 inverted-residual block: pointwise expansion → ReLU6 →
 /// depthwise 3×3 → ReLU6 → pointwise projection, with a residual connection
 /// when the input and output shapes agree (stride 1, equal channels).
+///
+/// The skip path passes the output gradient straight through, so the block
+/// caches nothing of its own: its backward cache is the body's.
 struct InvertedResidual {
     body: Sequential,
     use_residual: bool,
-    cached_input: Option<Tensor>,
 }
 
 impl InvertedResidual {
@@ -134,7 +136,7 @@ impl InvertedResidual {
             .with(ReLU6::new())
             .with(Conv2d::new(project_geom, out_channels, rng)?);
         let use_residual = stride == 1 && in_channels == out_channels;
-        Ok((InvertedResidual { body, use_residual, cached_input: None }, oh, ow))
+        Ok((InvertedResidual { body, use_residual }, oh, ow))
     }
 }
 
@@ -150,7 +152,6 @@ impl Layer for InvertedResidual {
     fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
         let out = self.body.forward(input)?;
         if self.use_residual {
-            self.cached_input = Some(input.clone());
             Ok(out.add(input)?)
         } else {
             Ok(out)
@@ -160,8 +161,6 @@ impl Layer for InvertedResidual {
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
         let mut grad_in = self.body.backward(grad_out)?;
         if self.use_residual {
-            // The skip path passes the output gradient straight through.
-            self.cached_input.as_ref().ok_or(NnError::NoForwardCache("inverted_residual"))?;
             grad_in.add_inplace(grad_out)?;
         }
         Ok(grad_in)

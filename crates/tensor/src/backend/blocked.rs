@@ -229,6 +229,38 @@ impl Backend for BlockedBackend {
         scalar::col2im_loops(cols, geom, out);
     }
 
+    fn depthwise_forward(
+        &self,
+        padded: &[f32],
+        weight: &[f32],
+        bias: &[f32],
+        geom: &Conv2dGeometry,
+        out: &mut [f32],
+    ) {
+        scalar::depthwise_forward_loops(padded, weight, bias, geom, out);
+    }
+
+    fn depthwise_backward(
+        &self,
+        padded: &[f32],
+        weight: &[f32],
+        grad_out: &[f32],
+        geom: &Conv2dGeometry,
+        grad_in: &mut [f32],
+        grad_weight: &mut [f32],
+        grad_bias: &mut [f32],
+    ) {
+        scalar::depthwise_backward_loops(
+            padded,
+            weight,
+            grad_out,
+            geom,
+            grad_in,
+            grad_weight,
+            grad_bias,
+        );
+    }
+
     fn axpy(&self, alpha: f32, x: &[f32], y: &mut [f32]) {
         for (o, &v) in y.iter_mut().zip(x.iter()) {
             *o += alpha * v;

@@ -1,14 +1,16 @@
 //! Pluggable compute backends for the tensor hot path.
 //!
 //! Every dense kernel the training stack leans on — matmul variants,
-//! im2col/col2im convolution lowering, the elementwise/reduction
-//! primitives and the SGD parameter update — is routed through the
-//! [`Backend`] trait. Two implementations ship:
+//! im2col/col2im convolution lowering, the direct depthwise convolution
+//! pair, the elementwise/reduction primitives and the SGD parameter update
+//! — is routed through the [`Backend`] trait. Two implementations ship:
 //!
-//! * [`ScalarBackend`] — the original hand-rolled loops, moved here
-//!   verbatim. This is the **deterministic CI oracle**: every run on it is
-//!   bit-identical to the code that predates the backend abstraction, and
-//!   it stays the default everywhere.
+//! * [`ScalarBackend`] — the original hand-rolled loops. This is the
+//!   **deterministic CI oracle**: every run on it is bit-identical to the
+//!   code that predates the backend abstraction, and it stays the default
+//!   everywhere. A scalar kernel may change its loop nesting only if every
+//!   output element keeps its exact sequence of f32 operations (the same
+//!   start value and the same term order).
 //! * `BlockedBackend` (behind the `backend-blocked` feature) — cache
 //!   blocked, autovectorization-friendly kernels with optional intra-op
 //!   threading. It reassociates floating-point reductions, so results are
@@ -77,6 +79,46 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
     ///
     /// `out` must be zero-initialized (the kernel accumulates).
     fn col2im(&self, cols: &[f32], geom: &Conv2dGeometry, out: &mut [f32]);
+
+    /// Depthwise convolution forward: one `k×k` filter per channel.
+    ///
+    /// `padded` holds `n` zero-padded `(C, H+2p, W+2p)` images (see
+    /// [`Conv2dGeometry::pad_image`]), `weight` is `(C, k·k)`, `bias` is
+    /// `(C)` and `out` receives the `n` `(C, out_h, out_w)` outputs, where
+    /// `n = out.len() / (C·out_h·out_w)`. Overwrites `out` completely. Each
+    /// output starts at its channel's bias and adds its tap products in
+    /// `(ky, kx)` order, padded taps included as `w·0.0`.
+    fn depthwise_forward(
+        &self,
+        padded: &[f32],
+        weight: &[f32],
+        bias: &[f32],
+        geom: &Conv2dGeometry,
+        out: &mut [f32],
+    );
+
+    /// Depthwise convolution backward over the `n` padded images a
+    /// [`Backend::depthwise_forward`] read, given `grad_out` of the
+    /// outputs' shape.
+    ///
+    /// Writes the input gradient into `grad_in` (`n` unpadded images,
+    /// zero-initialized: the kernel accumulates) and adds each sample's
+    /// weight and bias gradients into `grad_weight` `(C, k·k)` and
+    /// `grad_bias` `(C)`, one per-sample partial sum at a time in sample
+    /// order.
+    // Three gradient outputs on top of the forward's inputs; a struct
+    // would only be unpacked again by every implementation.
+    #[allow(clippy::too_many_arguments)]
+    fn depthwise_backward(
+        &self,
+        padded: &[f32],
+        weight: &[f32],
+        grad_out: &[f32],
+        geom: &Conv2dGeometry,
+        grad_in: &mut [f32],
+        grad_weight: &mut [f32],
+        grad_bias: &mut [f32],
+    );
 
     /// `y += alpha · x` elementwise (`x.len() == y.len()`).
     fn axpy(&self, alpha: f32, x: &[f32], y: &mut [f32]);

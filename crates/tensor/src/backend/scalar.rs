@@ -1,10 +1,14 @@
-//! The reference scalar backend: the pre-backend loop bodies, moved verbatim.
+//! The reference scalar backend: the pre-backend loop bodies.
 //!
 //! Every kernel here preserves the exact floating-point expression order of
 //! the code it was lifted from (`ops.rs`, `conv.rs` and the NN crate's
-//! softmax/SGD inner loops), so routing through this backend is bit-identical
-//! to the pre-refactor engine — the property the checked-in run digests in
-//! `tests/backend_parity.rs` pin.
+//! softmax/SGD/depthwise inner loops), so routing through this backend is
+//! bit-identical to the pre-refactor engine — the property the checked-in
+//! run digests in `tests/backend_parity.rs` pin. The depthwise pair replaces
+//! a per-channel im2col lowering with direct loops, nested differently but
+//! giving every output element the same start value and term order.
+
+use std::ops::Range;
 
 use crate::conv::Conv2dGeometry;
 
@@ -83,6 +87,30 @@ impl Backend for ScalarBackend {
 
     fn col2im(&self, cols: &[f32], geom: &Conv2dGeometry, out: &mut [f32]) {
         col2im_loops(cols, geom, out);
+    }
+
+    fn depthwise_forward(
+        &self,
+        padded: &[f32],
+        weight: &[f32],
+        bias: &[f32],
+        geom: &Conv2dGeometry,
+        out: &mut [f32],
+    ) {
+        depthwise_forward_loops(padded, weight, bias, geom, out);
+    }
+
+    fn depthwise_backward(
+        &self,
+        padded: &[f32],
+        weight: &[f32],
+        grad_out: &[f32],
+        geom: &Conv2dGeometry,
+        grad_in: &mut [f32],
+        grad_weight: &mut [f32],
+        grad_bias: &mut [f32],
+    ) {
+        depthwise_backward_loops(padded, weight, grad_out, geom, grad_in, grad_weight, grad_bias);
     }
 
     fn axpy(&self, alpha: f32, x: &[f32], y: &mut [f32]) {
@@ -210,11 +238,223 @@ pub(crate) fn col2im_loops(src: &[f32], geom: &Conv2dGeometry, out: &mut [f32]) 
     }
 }
 
+/// The depthwise forward loop nest, shared by the scalar and blocked
+/// backends. Per output element: the channel's bias, then `+= w·x` for each
+/// tap in `(ky, kx)` order, reading padded taps as the `0.0` of the padded
+/// image — the sequence the per-channel im2col lowering produced.
+pub(crate) fn depthwise_forward_loops(
+    padded: &[f32],
+    weight: &[f32],
+    bias: &[f32],
+    geom: &Conv2dGeometry,
+    out: &mut [f32],
+) {
+    let (k, s, c) = (geom.kernel, geom.stride, geom.in_channels);
+    let kk = k * k;
+    let pw = geom.padded_w();
+    let pplane = geom.padded_h() * pw;
+    let ow = geom.out_w;
+    for (i, dst) in out.chunks_exact_mut(geom.out_h * ow).enumerate() {
+        let ch = i % c;
+        let src = &padded[i * pplane..(i + 1) * pplane];
+        let w = &weight[ch * kk..(ch + 1) * kk];
+        // Every MobileNetV2 depthwise filter is 3×3; a compile-time size
+        // unrolls the taps, which is 2–4× faster on the nano planes.
+        if k == 3 {
+            plane_forward::<3>(src, w, bias[ch], pw, s, ow, dst);
+            continue;
+        }
+        for (oy, orow) in dst.chunks_exact_mut(ow).enumerate() {
+            for (ox, o) in orow.iter_mut().enumerate() {
+                let mut acc = bias[ch];
+                for (ky, wrow) in w.chunks_exact(k).enumerate() {
+                    let window = &src[(oy * s + ky) * pw + ox * s..][..k];
+                    for (&wv, &x) in wrow.iter().zip(window) {
+                        acc += wv * x;
+                    }
+                }
+                *o = acc;
+            }
+        }
+    }
+}
+
+/// One plane of [`depthwise_forward_loops`] for a `K×K` filter known at
+/// compile time, so the tap loops unroll: the same per-element sequence.
+fn plane_forward<const K: usize>(
+    src: &[f32],
+    w: &[f32],
+    b: f32,
+    pw: usize,
+    s: usize,
+    ow: usize,
+    dst: &mut [f32],
+) {
+    let w: [[f32; K]; K] = std::array::from_fn(|ky| std::array::from_fn(|kx| w[ky * K + kx]));
+    for (oy, orow) in dst.chunks_exact_mut(ow).enumerate() {
+        let rows: [&[f32]; K] = std::array::from_fn(|ky| &src[(oy * s + ky) * pw..][..pw]);
+        for (ox, o) in orow.iter_mut().enumerate() {
+            let mut acc = b;
+            for (wrow, row) in w.iter().zip(rows) {
+                for (&wv, &x) in wrow.iter().zip(&row[ox * s..ox * s + K]) {
+                    acc += wv * x;
+                }
+            }
+            *o = acc;
+        }
+    }
+}
+
+/// The depthwise backward loop nest, shared by the scalar and blocked
+/// backends, in the operation order of the per-channel im2col lowering:
+///
+/// * `dW[c, t]` gains one partial sum per sample, accumulated from `0.0`
+///   over the output positions in order (padded taps as `dy·0.0`);
+/// * `db[c]` gains each sample's output-gradient sum;
+/// * every input position adds `w·dy` over its in-bounds taps in `(ky, kx)`
+///   order, as col2im scattered them.
+#[allow(clippy::too_many_arguments)] // mirrors `Backend::depthwise_backward`
+pub(crate) fn depthwise_backward_loops(
+    padded: &[f32],
+    weight: &[f32],
+    grad_out: &[f32],
+    geom: &Conv2dGeometry,
+    grad_in: &mut [f32],
+    grad_weight: &mut [f32],
+    grad_bias: &mut [f32],
+) {
+    let (k, s, p, c) = (geom.kernel, geom.stride, geom.padding, geom.in_channels);
+    let kk = k * k;
+    let pw = geom.padded_w();
+    let pplane = geom.padded_h() * pw;
+    let (w_in, plane) = (geom.in_w, geom.in_h * geom.in_w);
+    let ow = geom.out_w;
+    let rows: Vec<Range<usize>> =
+        (0..k).map(|t| tap_range(t, p, s, geom.in_h, geom.out_h)).collect();
+    let cols: Vec<Range<usize>> = (0..k).map(|t| tap_range(t, p, s, w_in, ow)).collect();
+    let mut sums = vec![0.0f32; kk];
+    for (i, go) in grad_out.chunks_exact(geom.out_h * ow).enumerate() {
+        let ch = i % c;
+        let src = &padded[i * pplane..(i + 1) * pplane];
+        let w = &weight[ch * kk..(ch + 1) * kk];
+        // As in the forward, the 3×3 case gets a compile-time size: its nine
+        // accumulators then live in registers.
+        if k == 3 {
+            plane_tap_sums::<3>(go, src, pw, s, ow, &mut sums);
+        } else {
+            for (t, sum) in sums.iter_mut().enumerate() {
+                *sum = 0.0;
+                for (oy, grow) in go.chunks_exact(ow).enumerate() {
+                    let row = &src[(oy * s + t / k) * pw + t % k..];
+                    for (ox, &gv) in grow.iter().enumerate() {
+                        *sum += gv * row[ox * s];
+                    }
+                }
+            }
+        }
+        for (gw, &sum) in grad_weight[ch * kk..(ch + 1) * kk].iter_mut().zip(&sums) {
+            *gw += sum;
+        }
+        grad_bias[ch] += go.iter().sum::<f32>();
+        let gi = &mut grad_in[i * plane..(i + 1) * plane];
+        for ky in 0..k {
+            for kx in 0..k {
+                let wv = w[ky * k + kx];
+                let span = cols[kx].clone();
+                for oy in rows[ky].clone() {
+                    let grow = &go[oy * ow..(oy + 1) * ow];
+                    let iy = oy * s + ky - p;
+                    let dst = &mut gi[iy * w_in..(iy + 1) * w_in];
+                    if s == 1 {
+                        let at = span.start + kx - p;
+                        let dst = &mut dst[at..at + span.len()];
+                        for (d, &gv) in dst.iter_mut().zip(&grow[span.clone()]) {
+                            *d += wv * gv;
+                        }
+                    } else {
+                        for ox in span.clone() {
+                            dst[ox * s + kx - p] += wv * grow[ox];
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// One plane's weight-gradient partial sums for a `K×K` filter known at
+/// compile time: `sums[t] = Σ_j dy[j]·x_t[j]` from `0.0` in output order,
+/// `x_t` being tap `t`'s view of the padded plane. The `K·K` accumulators
+/// stay in registers and interleave; each keeps its own sequential order.
+fn plane_tap_sums<const K: usize>(
+    go: &[f32],
+    src: &[f32],
+    pw: usize,
+    s: usize,
+    ow: usize,
+    sums: &mut [f32],
+) {
+    let mut acc = [[0.0f32; K]; K];
+    for (oy, grow) in go.chunks_exact(ow).enumerate() {
+        let rows: [&[f32]; K] = std::array::from_fn(|ky| &src[(oy * s + ky) * pw..][..pw]);
+        for (ox, &gv) in grow.iter().enumerate() {
+            for (acc, row) in acc.iter_mut().zip(rows) {
+                for (a, &x) in acc.iter_mut().zip(&row[ox * s..ox * s + K]) {
+                    *a += gv * x;
+                }
+            }
+        }
+    }
+    for (sum, &a) in sums.iter_mut().zip(acc.iter().flatten()) {
+        *sum = a;
+    }
+}
+
+/// The output positions `o < out_len` whose tap at offset `off` lands
+/// inside an input of extent `len`: `0 ≤ o·s + off − p < len`.
+fn tap_range(off: usize, p: usize, s: usize, len: usize, out_len: usize) -> Range<usize> {
+    let lo = p.saturating_sub(off).div_ceil(s);
+    let hi = (len + p).saturating_sub(off).div_ceil(s).min(out_len);
+    lo..hi.max(lo)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     const B: ScalarBackend = ScalarBackend;
+
+    #[test]
+    fn tap_ranges_keep_taps_inside_the_input() {
+        // len 5, k 3, p 1, s 2 → out 3: tap 0 skips o = 0 (reads −1).
+        assert_eq!(tap_range(0, 1, 2, 5, 3), 1..3);
+        assert_eq!(tap_range(1, 1, 2, 5, 3), 0..3);
+        assert_eq!(tap_range(2, 1, 2, 5, 3), 0..2);
+        // len 4, k 3, p 1, s 1 → out 4: the last tap skips o = 3 (reads 4).
+        assert_eq!(tap_range(2, 1, 1, 4, 4), 0..3);
+        // An empty input has no in-bounds taps.
+        assert!(tap_range(1, 1, 1, 0, 2).is_empty());
+    }
+
+    #[test]
+    fn depthwise_forward_known_values() {
+        // One 2×2 channel, 3×3 all-ones filter, padding 1: each output is
+        // the bias plus the sum of the in-bounds neighbourhood.
+        let g = Conv2dGeometry::new(1, 2, 2, 3, 1, 1).unwrap();
+        let mut padded = vec![0.0f32; g.padded_volume()];
+        g.pad_image(&[1.0, 2.0, 3.0, 4.0], &mut padded);
+        let mut out = [0.0f32; 4];
+        B.depthwise_forward(&padded, &[1.0; 9], &[0.5], &g, &mut out);
+        assert_eq!(out, [10.5; 4]);
+        let mut grad_in = [0.0f32; 4];
+        let (mut gw, mut gb) = ([0.0f32; 9], [0.0f32]);
+        B.depthwise_backward(&padded, &[1.0; 9], &[1.0; 4], &g, &mut grad_in, &mut gw, &mut gb);
+        // Every input feeds all four outputs; the centre tap sees every
+        // pixel, a corner tap only the pixel in the opposite corner.
+        assert_eq!(grad_in, [4.0; 4]);
+        assert_eq!((gw[0], gw[4], gw[8]), (1.0, 10.0, 4.0));
+        assert_eq!(gb, [4.0]);
+    }
 
     #[test]
     fn matmul_known_product() {

@@ -1,9 +1,12 @@
-//! Convolution lowering: `im2col` / `col2im`.
+//! Convolution geometry and lowering: `im2col` / `col2im`.
 //!
-//! 2-D convolutions in [`fedms-nn`](https://docs.rs/fedms-nn) are computed by
-//! lowering each input image to a column matrix and multiplying by the
-//! flattened kernel bank — the standard "im2col + GEMM" approach used by most
-//! CPU deep-learning runtimes.
+//! Standard 2-D convolutions in [`fedms-nn`](https://docs.rs/fedms-nn) are
+//! computed by lowering each input image to a column matrix and multiplying
+//! by the flattened kernel bank — the standard "im2col + GEMM" approach used
+//! by most CPU deep-learning runtimes. A 1×1 convolution with stride 1 and no
+//! padding needs no lowering (its column matrix is the image itself), and
+//! depthwise convolutions read a zero-padded copy of the image
+//! ([`Conv2dGeometry::pad_image`]) in a direct kernel instead.
 
 use serde::{Deserialize, Serialize};
 
@@ -76,15 +79,19 @@ impl Conv2dGeometry {
         let geom =
             Conv2dGeometry { in_channels, in_h, in_w, kernel, stride, padding, out_h, out_w };
         // Reject geometries whose derived volumes wrap: every downstream
-        // buffer size (input image, column matrix) is a product of these
-        // extents, and a wrapped product would silently under-allocate.
+        // buffer size (input image, padded image, column matrix) is a
+        // product of these extents, and a wrapped product would silently
+        // under-allocate. The padded image bounds the plain one.
         let col_rows = in_channels
             .checked_mul(kernel)
             .and_then(|v| v.checked_mul(kernel))
             .ok_or_else(overflow)?;
         let col_cols = out_h.checked_mul(out_w).ok_or_else(overflow)?;
         col_rows.checked_mul(col_cols).ok_or_else(overflow)?;
-        in_channels.checked_mul(in_h).and_then(|v| v.checked_mul(in_w)).ok_or_else(overflow)?;
+        in_channels
+            .checked_mul(padded_h)
+            .and_then(|v| v.checked_mul(padded_w))
+            .ok_or_else(overflow)?;
         Ok(geom)
     }
 
@@ -101,6 +108,45 @@ impl Conv2dGeometry {
     /// Volume of one input image: `C · H · W`.
     pub fn input_volume(&self) -> usize {
         self.in_channels * self.in_h * self.in_w
+    }
+
+    /// Height of the zero-padded input: `H + 2p`.
+    pub fn padded_h(&self) -> usize {
+        self.in_h + 2 * self.padding
+    }
+
+    /// Width of the zero-padded input: `W + 2p`.
+    pub fn padded_w(&self) -> usize {
+        self.in_w + 2 * self.padding
+    }
+
+    /// Volume of one zero-padded input image: `C · (H + 2p) · (W + 2p)`.
+    pub fn padded_volume(&self) -> usize {
+        self.in_channels * self.padded_h() * self.padded_w()
+    }
+
+    /// Whether this is a 1×1 convolution with stride 1 and no padding,
+    /// whose im2col lowering is the identity: the column matrix of an image
+    /// is the image itself.
+    pub fn is_pointwise(&self) -> bool {
+        self.kernel == 1 && self.stride == 1 && self.padding == 0
+    }
+
+    /// Copies one `(C, H, W)` image (`image.len() == self.input_volume()`)
+    /// into the interior of its zero-padded `(C, H + 2p, W + 2p)` form.
+    ///
+    /// Only the interior of `out` is written: its border must already be
+    /// zero, and stays so across calls.
+    pub fn pad_image(&self, image: &[f32], out: &mut [f32]) {
+        let (h, w, p) = (self.in_h, self.in_w, self.padding);
+        let (ph, pw) = (self.padded_h(), self.padded_w());
+        for c in 0..self.in_channels {
+            for y in 0..h {
+                let src = &image[(c * h + y) * w..(c * h + y + 1) * w];
+                let at = (c * ph + y + p) * pw + p;
+                out[at..at + w].copy_from_slice(src);
+            }
+        }
     }
 }
 
@@ -186,6 +232,35 @@ mod tests {
             Conv2dGeometry::new(1, usize::MAX / 2, usize::MAX / 2, 3, 1, 1),
             Err(TensorError::Invalid(_))
         ));
+    }
+
+    #[test]
+    fn pad_image_fills_the_interior_only() {
+        let g = Conv2dGeometry::new(2, 2, 3, 3, 2, 1).unwrap();
+        assert_eq!((g.padded_h(), g.padded_w(), g.padded_volume()), (4, 5, 40));
+        let img: Vec<f32> = (1..=12).map(|v| v as f32).collect();
+        let mut out = vec![0.0f32; g.padded_volume()];
+        g.pad_image(&img, &mut out);
+        #[rustfmt::skip]
+        let expected = [
+            0.0, 0.0, 0.0, 0.0, 0.0,
+            0.0, 1.0, 2.0, 3.0, 0.0,
+            0.0, 4.0, 5.0, 6.0, 0.0,
+            0.0, 0.0, 0.0, 0.0, 0.0,
+            0.0, 0.0, 0.0, 0.0, 0.0,
+            0.0, 7.0, 8.0, 9.0, 0.0,
+            0.0, 10.0, 11.0, 12.0, 0.0,
+            0.0, 0.0, 0.0, 0.0, 0.0,
+        ];
+        assert_eq!(out, expected);
+        // Without padding the padded image is the image.
+        let g = Conv2dGeometry::new(2, 2, 3, 1, 1, 0).unwrap();
+        assert!(g.is_pointwise());
+        let mut out = vec![0.0f32; g.padded_volume()];
+        g.pad_image(&img, &mut out);
+        assert_eq!(out, img);
+        assert!(!Conv2dGeometry::new(2, 2, 3, 1, 2, 0).unwrap().is_pointwise());
+        assert!(!Conv2dGeometry::new(2, 2, 3, 1, 1, 1).unwrap().is_pointwise());
     }
 
     #[test]

@@ -109,16 +109,6 @@ impl BufferPool {
         buf
     }
 
-    /// Returns a zero-filled buffer of `len` elements, recycling freed
-    /// storage when available. Value-transparent: the result is
-    /// bit-identical to `vec![0.0f32; len]`.
-    pub fn fetch_zeroed(&self, len: usize) -> Vec<f32> {
-        let mut buf = self.inner.lock().expect("buffer pool poisoned").lend(len);
-        buf.clear();
-        buf.resize(len, 0.0);
-        buf
-    }
-
     /// Returns a buffer to the free list for later reuse, or drops it when
     /// the free list already holds as many buffers as were ever lent at
     /// once.
@@ -200,20 +190,6 @@ mod tests {
         let again = pool.fetch_tensor(&src);
         assert_eq!(again, src);
         assert_eq!(pool.stats().reused, 1);
-    }
-
-    #[test]
-    fn fetch_zeroed_recycles_and_zeroes() {
-        let pool = BufferPool::new();
-        let mut a = pool.fetch_zeroed(4);
-        assert_eq!(a, &[0.0; 4]);
-        a.copy_from_slice(&[1.0, 2.0, 3.0, 4.0]);
-        pool.release(a);
-        let b = pool.fetch_zeroed(6);
-        assert_eq!(b, &[0.0; 6], "recycled buffer must come back zeroed");
-        let s = pool.stats();
-        assert_eq!(s.allocated, 1);
-        assert_eq!(s.reused, 1);
     }
 
     #[test]
