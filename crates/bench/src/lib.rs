@@ -1,4 +1,5 @@
-//! Experiment harness shared by the per-figure binaries and benches.
+//! Experiment harness shared by the per-figure binaries and the
+//! microbenches.
 //!
 //! Every table and figure of the paper's evaluation section has a binary
 //! in `src/bin/`; the binary ↔ paper-artefact mapping (and the checked-in
@@ -19,6 +20,10 @@
 //! (sweep parallelism). Results print as text tables and are written to
 //! `results/` as provenance-stamped artifacts with a `<name>.json` pointer
 //! to the latest.
+//!
+//! [`perf`] is the microbench harness: `filterbench` and `nnbench` measure
+//! through it, write one report schema (`BENCH_*.json`) and gate against
+//! their committed baselines through one check.
 
 use fedms_core::{FedMsConfig, Result};
 

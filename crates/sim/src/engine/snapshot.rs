@@ -106,7 +106,11 @@ impl SimulationEngine {
     ///
     /// Returns [`SimError::SnapshotVersion`] for a snapshot written with an
     /// unknown layout version, and [`SimError::BadConfig`] if the
-    /// snapshot's entity counts or model sizes do not match this engine.
+    /// snapshot's entity counts or model sizes do not match this engine:
+    /// that covers every `server_state` tensor, and a non-empty
+    /// `recovery_state` or `estimator_scores` must hold one entry per
+    /// server. Every check runs before anything is restored, so a rejected
+    /// snapshot leaves the engine as it was.
     pub fn restore(&mut self, snapshot: &Snapshot) -> Result<()> {
         match snapshot.version {
             1 => {
@@ -152,6 +156,31 @@ impl SimulationEngine {
                 snapshot.server_state.len(),
                 self.servers.len()
             )));
+        }
+        let servers = self.servers.len();
+        for (field, len) in [
+            ("recovery_state", snapshot.recovery_state.len()),
+            ("estimator_scores", snapshot.estimator_scores.len()),
+        ] {
+            if len != 0 && len != servers {
+                return Err(SimError::BadConfig(format!(
+                    "snapshot {field} has {len} entries, engine has {servers} servers"
+                )));
+            }
+        }
+        let model_len = self.store.model_len();
+        for (id, (history, last, outbox)) in snapshot.server_state.iter().enumerate() {
+            for (part, tensors) in [
+                ("history", history.as_slice()),
+                ("last aggregate", last.as_slice()),
+                ("outbox", outbox.as_slice()),
+            ] {
+                if tensors.iter().any(|t| t.len() != model_len) {
+                    return Err(SimError::BadConfig(format!(
+                        "snapshot server_state[{id}] {part} size does not match the engine's model"
+                    )));
+                }
+            }
         }
         if snapshot.version == 1 {
             self.store.restore_dense(&snapshot.client_models);

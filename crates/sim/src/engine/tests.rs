@@ -414,18 +414,41 @@ fn snapshot_resume_is_bit_exact() {
 #[test]
 fn restore_validates_shape() {
     let mut a = small_setup(vec![], AttackKind::Benign, Box::new(Mean::new()), false);
-    let mut snap = a.snapshot();
-    snap.model_refs.pop();
-    assert!(a.restore(&snap).is_err());
-    let mut snap = a.snapshot();
-    snap.server_state.pop();
-    assert!(a.restore(&snap).is_err());
-    let mut snap = a.snapshot();
-    snap.model_pool[0] = Tensor::zeros(&[3]);
-    assert!(a.restore(&snap).is_err());
-    let mut snap = a.snapshot();
-    snap.model_refs[0] = snap.model_pool.len() as u32;
-    assert!(a.restore(&snap).is_err());
+    let fresh = a.snapshot();
+    a.run(1).unwrap();
+    let trained = a.snapshot();
+    let servers = fresh.server_state.len();
+    let mut rejects = |needle: &str, edit: &dyn Fn(&mut Snapshot)| {
+        let mut snap = fresh.clone();
+        edit(&mut snap);
+        match a.restore(&snap) {
+            Err(SimError::BadConfig(msg)) => assert!(msg.contains(needle), "{needle}: {msg}"),
+            other => panic!("{needle}: expected BadConfig, got {other:?}"),
+        }
+        // Every check runs before anything is restored.
+        assert_eq!(a.snapshot(), trained, "{needle}");
+    };
+    rejects("clients", &|s| {
+        s.model_refs.pop();
+    });
+    rejects("servers", &|s| {
+        s.server_state.pop();
+    });
+    rejects("model size", &|s| s.model_pool[0] = Tensor::zeros(&[3]));
+    rejects("model reference", &|s| s.model_refs[0] = s.model_pool.len() as u32);
+    // Per-server state: one entry per server, every tensor the model's size.
+    rejects("recovery_state", &|s| s.recovery_state = vec![0; servers + 1]);
+    rejects("estimator_scores", &|s| s.estimator_scores = vec![0.0; servers - 1]);
+    rejects("server_state[1] history", &|s| s.server_state[1].0.push(Tensor::zeros(&[3])));
+    rejects("server_state[1] last aggregate", &|s| {
+        s.server_state[1].1 = Some(Tensor::zeros(&[3]));
+    });
+    rejects("server_state[1] outbox", &|s| s.server_state[1].2.push(Tensor::zeros(&[3])));
+    // Empty per-server vectors (older snapshots, recovery or the estimator
+    // off) still restore.
+    assert!(fresh.recovery_state.is_empty());
+    a.restore(&fresh).unwrap();
+    assert_eq!(a.snapshot(), fresh);
 }
 
 #[test]

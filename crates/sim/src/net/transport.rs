@@ -9,7 +9,7 @@
 //! round's broadcast queue until they are asked for. Uploads to the same
 //! server are coalesced into `Frame::UploadBatch` frames (flushed at the
 //! batch bound or when the inbox is taken), which is where the frames/s vs
-//! bytes/s trade-off of the bench lives.
+//! bytes/s trade-off lives.
 //!
 //! The actor moves and decodes frames; it decides nothing. Every fate —
 //! loss draws, crashes, stragglers, partitions, the [`NetModel`]'s
@@ -51,7 +51,7 @@ const DEFAULT_CHANNEL_BOUND: usize = 64;
 const CORRUPT_LABEL: u64 = 0x43_52_50_54;
 
 /// Frame-level traffic counters of a [`NetTransport`] (cumulative since
-/// construction; the criterion bench reads frames/s and bytes/s off them).
+/// construction).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetStats {
     /// Frames placed on any channel.
