@@ -25,7 +25,7 @@ struct CommRow {
 }
 
 fn main() -> Result<()> {
-    let seeds = seeds_from_env();
+    let seeds = seeds_from_env()?;
     println!("Communication cost of model aggregation (Section IV-A)");
     println!("K=50 P=10 e=20% noise attack, Fed-MS filter; seeds {seeds:?}");
     println!(

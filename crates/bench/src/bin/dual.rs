@@ -42,7 +42,7 @@ fn curve(
 }
 
 fn main() -> Result<()> {
-    let seeds = seeds_from_env();
+    let seeds = seeds_from_env()?;
     println!("Dual threat model: Byzantine servers (20%, Noise) AND clients");
     println!("client attack: Random [-10,10] uploads; seeds {seeds:?}");
     let trim_client = FilterKind::TrimmedMean { beta: 0.2 };

@@ -29,7 +29,7 @@ fn curve(label: &str, attack: AttackKind, filter: FilterKind, seeds: &[u64]) -> 
 }
 
 fn main() -> Result<()> {
-    let seeds = seeds_from_env();
+    let seeds = seeds_from_env()?;
     println!("Stealth attacks (ALIE / IPM) vs robust filters; e=20%, seeds {seeds:?}");
     let mut all = serde_json::Map::new();
     for (name, attack) in [

@@ -26,7 +26,7 @@ fn curve(label: &str, attack: AttackKind, equivocate: bool, seeds: &[u64]) -> Re
 }
 
 fn main() -> Result<()> {
-    let seeds = seeds_from_env();
+    let seeds = seeds_from_env()?;
     println!("Worst-case adversary: equivocating vs consistent dissemination");
     println!("K=50 P=10 e=20%, Fed-MS beta=0.2; seeds {seeds:?}");
     let mut all = serde_json::Map::new();

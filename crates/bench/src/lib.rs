@@ -17,7 +17,8 @@
 //! Environment knobs honoured by the accuracy experiments:
 //! `FEDMS_ROUNDS` (default 60), `FEDMS_SEEDS` (comma-separated, default
 //! `42`), `FEDMS_FAST=1` (10 rounds, quick smoke run), `FEDMS_THREADS`
-//! (sweep parallelism). Results print as text tables and are written to
+//! (sweep parallelism); a malformed value is an error naming the variable.
+//! Results print as text tables and are written to
 //! `results/` as provenance-stamped artifacts with a `<name>.json` pointer
 //! to the latest.
 //!

@@ -42,7 +42,9 @@ mod store;
 pub mod toml;
 mod trial;
 
-pub use harness::{harness_defaults, rounds_from_env, seeds_from_env, threads_from_env};
+pub use harness::{
+    harness_defaults, rounds_from_env, seeds_from_env, threads_from_env, EnvError, HarnessEnv,
+};
 pub use provenance::{save_json, save_json_stamped_in, Provenance};
 pub use report::{average_points, panels, print_series_table, Series};
 pub use scheduler::{run_sweep, run_sweep_with, Progress, SweepReport};
@@ -83,7 +85,8 @@ pub fn manifest_for(spec: &SweepSpec, run_id: &str, trials: &[Trial]) -> RunMani
 ///
 /// # Errors
 ///
-/// Fails on spec errors, store I/O errors and spec-hash mismatches.
+/// Fails on spec errors, harness variables that do not parse, store I/O
+/// errors and spec-hash mismatches.
 /// Individual trial failures do not fail the sweep — they are reported in
 /// the returned [`SweepReport`].
 pub fn run_spec_in(
@@ -94,7 +97,7 @@ pub fn run_spec_in(
     on_progress: impl FnMut(&Progress),
 ) -> Result<(SweepSpec, RunStore, SweepReport), SpecError> {
     let mut spec = SweepSpec::parse(source)?;
-    spec.apply_env();
+    spec.apply_env(&HarnessEnv::from_env()?);
     let trials = spec.expand()?;
     let run_id = run_id.map_or_else(|| spec.default_run_id(), str::to_string);
     let store = RunStore::create_or_open(base_dir, &run_id)
@@ -124,7 +127,7 @@ pub fn run_spec_in(
 ///
 /// As [`run_spec_in`].
 pub fn run_spec(source: &str) -> Result<(SweepSpec, SweepReport), SpecError> {
-    let threads = threads_from_env();
+    let threads = threads_from_env()?;
     let (spec, store, report) =
         run_spec_in(source, Path::new("results/runs"), None, threads, print_progress)?;
     println!(

@@ -31,6 +31,7 @@
 //! resolves β = B/P per cell (the paper's matched trim rate),
 //! `adaptive:matched` resolves trim = B.
 
+use crate::harness::{EnvError, HarnessEnv};
 use crate::toml::{self, Value};
 use crate::trial::Trial;
 use fedms_core::{fnv1a64_hex, FedMsConfig};
@@ -48,6 +49,12 @@ impl fmt::Display for SpecError {
 }
 
 impl std::error::Error for SpecError {}
+
+impl From<EnvError> for SpecError {
+    fn from(e: EnvError) -> Self {
+        SpecError(e.to_string())
+    }
+}
 
 impl From<toml::TomlError> for SpecError {
     fn from(e: toml::TomlError) -> Self {
@@ -232,28 +239,15 @@ impl SweepSpec {
         Ok(spec)
     }
 
-    /// Applies the harness environment overrides: `FEDMS_SEEDS` replaces
-    /// the seed list, `FEDMS_ROUNDS` replaces the round count, and
-    /// `FEDMS_FAST=1` clamps rounds to at most 10 (a smoke run never runs
-    /// *longer* than the spec asks).
-    pub fn apply_env(&mut self) {
-        if let Some(seeds) = std::env::var("FEDMS_SEEDS")
-            .ok()
-            .map(|v| v.split(',').filter_map(|s| s.trim().parse().ok()).collect::<Vec<u64>>())
-            .filter(|v| !v.is_empty())
-        {
-            self.seeds = seeds;
+    /// Applies the harness environment overrides (see [`HarnessEnv`]):
+    /// `FEDMS_SEEDS` replaces the seed list, `FEDMS_ROUNDS` replaces the
+    /// round count, and `FEDMS_FAST=1` caps rounds at 10 (a smoke run
+    /// never runs *longer* than the spec asks).
+    pub fn apply_env(&mut self, env: &HarnessEnv) {
+        if let Some(seeds) = &env.seeds {
+            self.seeds = seeds.clone();
         }
-        if let Some(rounds) =
-            std::env::var("FEDMS_ROUNDS").ok().and_then(|v| v.parse::<usize>().ok())
-        {
-            if rounds > 0 {
-                self.rounds = rounds;
-            }
-        }
-        if std::env::var("FEDMS_FAST").is_ok_and(|v| v == "1") {
-            self.rounds = self.rounds.min(10);
-        }
+        self.rounds = env.rounds_or(self.rounds);
     }
 
     /// The spec-source hash (16 hex digits) — the run's identity.
@@ -519,17 +513,14 @@ filter = ["trimmed:matched", "mean"]
 
     #[test]
     fn env_overrides_guarded() {
-        // Like the bench crate's env tests: only assert when the variables
-        // are unset (tests run in parallel; we never mutate the env).
-        if std::env::var("FEDMS_SEEDS").is_err()
-            && std::env::var("FEDMS_ROUNDS").is_err()
-            && std::env::var("FEDMS_FAST").is_err()
-        {
-            let mut spec = SweepSpec::parse(FIG3ISH).unwrap();
-            spec.apply_env();
-            assert_eq!(spec.seeds, vec![1, 2]);
-            assert_eq!(spec.rounds, 4);
-        }
+        let env = |vars: &[(&str, &str)]| HarnessEnv::from_vars(vars).unwrap();
+        let mut spec = SweepSpec::parse(FIG3ISH).unwrap();
+        spec.apply_env(&env(&[]));
+        assert_eq!((spec.seeds.clone(), spec.rounds), (vec![1, 2], 4));
+        spec.apply_env(&env(&[("FEDMS_SEEDS", "7,8,9"), ("FEDMS_ROUNDS", "30")]));
+        assert_eq!((spec.seeds.clone(), spec.rounds), (vec![7, 8, 9], 30));
+        spec.apply_env(&env(&[("FEDMS_FAST", "1")]));
+        assert_eq!(spec.rounds, 10);
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //!    rest of the sweep completes.
 
 use fedms_exp::{
-    run_spec_in, run_sweep_with, Progress, RunStore, SweepSpec, Trial, TrialRecord, TrialStatus,
+    run_spec_in, run_sweep_with, HarnessEnv, Progress, RunStore, SweepSpec, Trial, TrialRecord,
+    TrialStatus,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -155,7 +156,7 @@ fn synthetic_record(trial: &Trial) -> TrialRecord {
 fn panicking_trial_is_isolated_and_retried_on_resume() {
     let source = tiny_spec(1, 1, "benign");
     let mut spec = SweepSpec::parse(&source).expect("spec parses");
-    spec.apply_env();
+    spec.apply_env(&HarnessEnv::from_env().expect("harness environment parses"));
     let trials = spec.expand().expect("spec expands");
     assert_eq!(trials.len(), 2);
     let poisoned = trials[0].id.clone();

@@ -49,7 +49,10 @@ fn numeric_grad(probe: &mut impl FnMut(f32) -> Result<f32>, orig: f32) -> Result
 /// central finite differences on a random input.
 ///
 /// Probes up to 48 randomly chosen parameter coordinates and 24 input
-/// coordinates; each must match within relative tolerance `tol`.
+/// coordinates; each must match within relative tolerance `tol`. The
+/// gradients checked are those of [`Layer::backward`], and
+/// [`Layer::backward_params`] must reproduce its parameter gradients bit
+/// for bit.
 ///
 /// # Errors
 ///
@@ -97,6 +100,20 @@ pub fn check_layer_ref(
     layer.zero_grads();
     let grad_in = layer.backward(&out)?;
     let param_grads: Vec<Vec<f32>> = layer.grads().iter().map(|g| g.as_slice().to_vec()).collect();
+
+    // The parameter-only backward a training step runs must leave the very
+    // same gradient bits after the same forward.
+    layer.forward(&input)?;
+    layer.zero_grads();
+    layer.backward_params(&out)?;
+    for (pi, (g, want)) in layer.grads().iter().zip(&param_grads).enumerate() {
+        let same = g.as_slice().iter().zip(want).all(|(a, b)| a.to_bits() == b.to_bits());
+        if !same {
+            return Err(NnError::BadConfig(format!(
+                "backward_params left different gradient bits than backward in tensor {pi}"
+            )));
+        }
+    }
 
     // Parameter gradients. The index walks `layer.params()` and
     // `layer.params_mut()` at once, so an iterator can't replace it.
@@ -169,36 +186,57 @@ mod tests {
         check_layer(Box::new(l), &[2, 3], 1, 2e-2).unwrap();
     }
 
+    /// A linear layer whose two backward passes scale `grad_out` first, by
+    /// `full` in `backward` and by `params_only` in `backward_params`.
+    struct Scaled {
+        inner: Linear,
+        full: f32,
+        params_only: f32,
+    }
+
+    impl Layer for Scaled {
+        fn name(&self) -> &'static str {
+            "scaled"
+        }
+        fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
+            self.inner.forward(input)
+        }
+        fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+            self.inner.backward(&grad_out.scaled(self.full))
+        }
+        fn backward_params(&mut self, grad_out: &Tensor) -> Result<()> {
+            self.inner.backward_params(&grad_out.scaled(self.params_only))
+        }
+        fn params(&self) -> Vec<&Tensor> {
+            self.inner.params()
+        }
+        fn params_mut(&mut self) -> Vec<&mut Tensor> {
+            self.inner.params_mut()
+        }
+        fn grads(&self) -> Vec<&Tensor> {
+            self.inner.grads()
+        }
+        fn zero_grads(&mut self) {
+            self.inner.zero_grads()
+        }
+    }
+
+    fn scaled(full: f32, params_only: f32) -> Box<dyn Layer> {
+        let mut rng = fedms_tensor::rng::rng_for(2, &[]);
+        Box::new(Scaled { inner: Linear::new(3, 3, &mut rng).unwrap(), full, params_only })
+    }
+
     #[test]
     fn rejects_broken_backward() {
-        /// A linear layer whose backward doubles the true gradient.
-        struct Broken(Linear);
-        impl Layer for Broken {
-            fn name(&self) -> &'static str {
-                "broken"
-            }
-            fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
-                self.0.forward(input)
-            }
-            fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-                self.0.backward(&grad_out.scaled(2.0))
-            }
-            fn params(&self) -> Vec<&Tensor> {
-                self.0.params()
-            }
-            fn params_mut(&mut self) -> Vec<&mut Tensor> {
-                self.0.params_mut()
-            }
-            fn grads(&self) -> Vec<&Tensor> {
-                self.0.grads()
-            }
-            fn zero_grads(&mut self) {
-                self.0.zero_grads()
-            }
-        }
-        let mut rng = fedms_tensor::rng::rng_for(2, &[]);
-        let l = Broken(Linear::new(3, 3, &mut rng).unwrap());
-        assert!(check_layer(Box::new(l), &[2, 3], 2, 2e-2).is_err());
+        // Both passes double the true gradient.
+        assert!(check_layer(scaled(2.0, 2.0), &[2, 3], 2, 2e-2).is_err());
+    }
+
+    #[test]
+    fn rejects_backward_params_that_disagree_with_backward() {
+        check_layer(scaled(1.0, 1.0), &[2, 3], 2, 2e-2).unwrap();
+        let err = check_layer(scaled(1.0, 2.0), &[2, 3], 2, 2e-2).unwrap_err();
+        assert!(err.to_string().contains("backward_params"), "{err}");
     }
 
     #[test]

@@ -46,6 +46,23 @@ pub trait Layer: Send {
     /// shape.
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor>;
 
+    /// Back-propagates `grad_out` into the parameter gradients only: the
+    /// same accumulation as [`Layer::backward`], bit for bit, without the
+    /// gradient w.r.t. the input. [`crate::NeuralNet::train_batch`] calls
+    /// it on the whole model, whose first layer's input gradient nobody
+    /// reads.
+    ///
+    /// The default runs [`Layer::backward`] and drops its result. Layers
+    /// whose input gradient costs a GEMM skip it, and containers run
+    /// `backward` through every layer but the first.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`Layer::backward`].
+    fn backward_params(&mut self, grad_out: &Tensor) -> Result<()> {
+        self.backward(grad_out).map(drop)
+    }
+
     /// The layer's trainable parameters (possibly empty).
     fn params(&self) -> Vec<&Tensor>;
 

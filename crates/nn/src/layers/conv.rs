@@ -103,6 +103,53 @@ impl Conv2d {
     pub fn out_channels(&self) -> usize {
         self.out_channels
     }
+
+    /// The backward pass over the cached forward: accumulates the parameter
+    /// gradients and, when `grad_in` (the zeroed input gradient) is given,
+    /// writes the input gradient into it.
+    fn backward_into(&mut self, grad_out: &Tensor, mut grad_in: Option<&mut [f32]>) -> Result<()> {
+        let batch = self.cached_batch;
+        if batch == 0 {
+            return Err(NnError::NoForwardCache("conv2d"));
+        }
+        let g = self.geom;
+        let (rows, plane, oc) = (g.col_rows(), g.col_cols(), self.out_channels);
+        check_grad_out(grad_out, batch, oc, g.out_h, g.out_w)?;
+        let (vol, block) = (g.input_volume(), rows * plane);
+        let lowered = !g.is_pointwise();
+        // `dW` is overwritten by each GEMM, `dCols` zeroed before each.
+        let dcols_len = if lowered && grad_in.is_some() { block } else { 0 };
+        self.scratch.resize(oc * rows + dcols_len, 0.0);
+        let (dw, dcols) = self.scratch.split_at_mut(oc * rows);
+        for s in 0..batch {
+            let go = &grad_out.as_slice()[s * oc * plane..(s + 1) * oc * plane];
+            let cols = &self.cols[s * block..(s + 1) * block];
+            // dW += gradOut · colsᵀ, one per-sample product at a time.
+            self.backend.matmul_transb(go, cols, dw, oc, plane, rows);
+            for (gw, &v) in self.grad_weight.as_mut_slice().iter_mut().zip(dw.iter()) {
+                *gw += v;
+            }
+            // db += row sums
+            for (gb, orow) in self.grad_bias.as_mut_slice().iter_mut().zip(go.chunks_exact(plane)) {
+                *gb += orow.iter().sum::<f32>();
+            }
+            let Some(grad_in) = grad_in.as_deref_mut() else {
+                continue;
+            };
+            let gi = &mut grad_in[s * vol..(s + 1) * vol];
+            // dCols = Wᵀ · gradOut, scattered back to image space. At 1×1
+            // the scatter would add each value onto a zero, so the GEMM
+            // writes the image gradient directly.
+            if lowered {
+                dcols.fill(0.0);
+                self.backend.matmul_transa(self.weight.as_slice(), go, dcols, rows, oc, plane);
+                self.backend.col2im(dcols, &g, gi);
+            } else {
+                self.backend.matmul_transa(self.weight.as_slice(), go, gi, rows, oc, plane);
+            }
+        }
+        Ok(())
+    }
 }
 
 impl Layer for Conv2d {
@@ -162,44 +209,15 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        let batch = self.cached_batch;
-        if batch == 0 {
-            return Err(NnError::NoForwardCache("conv2d"));
-        }
         let g = self.geom;
-        let (rows, plane, oc) = (g.col_rows(), g.col_cols(), self.out_channels);
-        check_grad_out(grad_out, batch, oc, g.out_h, g.out_w)?;
-        let (vol, block) = (g.input_volume(), rows * plane);
-        let lowered = !g.is_pointwise();
-        // `dW` is overwritten by each GEMM, `dCols` zeroed before each.
-        self.scratch.resize(oc * rows + if lowered { block } else { 0 }, 0.0);
-        let (dw, dcols) = self.scratch.split_at_mut(oc * rows);
-        let mut grad_in = Tensor::zeros(&[batch, g.in_channels, g.in_h, g.in_w]);
-        for s in 0..batch {
-            let go = &grad_out.as_slice()[s * oc * plane..(s + 1) * oc * plane];
-            let gi = &mut grad_in.as_mut_slice()[s * vol..(s + 1) * vol];
-            let cols = &self.cols[s * block..(s + 1) * block];
-            // dW += gradOut · colsᵀ, one per-sample product at a time.
-            self.backend.matmul_transb(go, cols, dw, oc, plane, rows);
-            for (gw, &v) in self.grad_weight.as_mut_slice().iter_mut().zip(dw.iter()) {
-                *gw += v;
-            }
-            // db += row sums
-            for (gb, orow) in self.grad_bias.as_mut_slice().iter_mut().zip(go.chunks_exact(plane)) {
-                *gb += orow.iter().sum::<f32>();
-            }
-            // dCols = Wᵀ · gradOut, scattered back to image space. At 1×1
-            // the scatter would add each value onto a zero, so the GEMM
-            // writes the image gradient directly.
-            if lowered {
-                dcols.fill(0.0);
-                self.backend.matmul_transa(self.weight.as_slice(), go, dcols, rows, oc, plane);
-                self.backend.col2im(dcols, &g, gi);
-            } else {
-                self.backend.matmul_transa(self.weight.as_slice(), go, gi, rows, oc, plane);
-            }
-        }
+        let mut grad_in = Tensor::zeros(&[self.cached_batch, g.in_channels, g.in_h, g.in_w]);
+        self.backward_into(grad_out, Some(grad_in.as_mut_slice()))?;
         Ok(grad_in)
+    }
+
+    /// Skips the `Wᵀ · gradOut` GEMM and the col2im scatter per sample.
+    fn backward_params(&mut self, grad_out: &Tensor) -> Result<()> {
+        self.backward_into(grad_out, None)
     }
 
     fn params(&self) -> Vec<&Tensor> {

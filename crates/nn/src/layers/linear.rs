@@ -87,6 +87,12 @@ impl Layer for Linear {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+        self.backward_params(grad_out)?;
+        // dX = gradOut · W   →  (batch, out)·(out, in) = (batch, in)
+        Ok(grad_out.matmul_on(&self.weight, self.backend)?)
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) -> Result<()> {
         let input = self.cached_input.as_ref().ok_or(NnError::NoForwardCache("linear"))?;
         // dW += gradOutᵀ · x   →  (out, batch)·(batch, in) = (out, in)
         let dw = grad_out.matmul_transa_on(input, self.backend)?;
@@ -100,8 +106,7 @@ impl Layer for Linear {
                 *acc += v;
             }
         }
-        // dX = gradOut · W   →  (batch, out)·(out, in) = (batch, in)
-        Ok(grad_out.matmul_on(&self.weight, self.backend)?)
+        Ok(())
     }
 
     fn params(&self) -> Vec<&Tensor> {

@@ -70,14 +70,17 @@ impl Layer for Sequential {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        if self.layers.is_empty() {
-            return Err(NnError::BadConfig("backward through empty sequential".into()));
+        backward_through(&mut self.layers, grad_out)
+    }
+
+    /// `backward` through every layer but the first, whose input gradient
+    /// is the one left out.
+    fn backward_params(&mut self, grad_out: &Tensor) -> Result<()> {
+        match self.layers.split_first_mut() {
+            None => Err(empty_backward()),
+            Some((first, [])) => first.backward_params(grad_out),
+            Some((first, rest)) => first.backward_params(&backward_through(rest, grad_out)?),
         }
-        let mut g = grad_out.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g)?;
-        }
-        Ok(g)
     }
 
     fn params(&self) -> Vec<&Tensor> {
@@ -116,6 +119,21 @@ impl Layer for Sequential {
     }
 }
 
+/// Back-propagates `grad_out` through `layers` from last to first and
+/// returns the gradient w.r.t. the first layer's input.
+fn backward_through(layers: &mut [Box<dyn Layer>], grad_out: &Tensor) -> Result<Tensor> {
+    let (last, rest) = layers.split_last_mut().ok_or_else(empty_backward)?;
+    let mut g = last.backward(grad_out)?;
+    for layer in rest.iter_mut().rev() {
+        g = layer.backward(&g)?;
+    }
+    Ok(g)
+}
+
+fn empty_backward() -> NnError {
+    NnError::BadConfig("backward through empty sequential".into())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,6 +146,7 @@ mod tests {
         assert!(s.is_empty());
         assert!(s.forward(&Tensor::zeros(&[1, 2])).is_err());
         assert!(s.backward(&Tensor::zeros(&[1, 2])).is_err());
+        assert!(s.backward_params(&Tensor::zeros(&[1, 2])).is_err());
     }
 
     #[test]

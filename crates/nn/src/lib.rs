@@ -51,7 +51,7 @@ pub use layers::{
 };
 pub use loss::{accuracy, softmax, softmax_cross_entropy, LossOutput};
 pub use models::{Mlp, MobileNetNano, MobileNetNanoConfig};
-pub use net::NeuralNet;
+pub use net::{NeuralNet, EVAL_TILE};
 pub use sgd::{LrSchedule, Sgd};
 
 /// Crate-wide `Result` alias using [`NnError`].

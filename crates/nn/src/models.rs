@@ -78,6 +78,10 @@ impl Layer for Mlp {
         self.seq.backward(grad_out)
     }
 
+    fn backward_params(&mut self, grad_out: &Tensor) -> Result<()> {
+        self.seq.backward_params(grad_out)
+    }
+
     fn params(&self) -> Vec<&Tensor> {
         self.seq.params()
     }
@@ -150,12 +154,11 @@ impl Layer for InvertedResidual {
     }
 
     fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
-        let out = self.body.forward(input)?;
+        let mut out = self.body.forward(input)?;
         if self.use_residual {
-            Ok(out.add(input)?)
-        } else {
-            Ok(out)
+            out.add_inplace(input)?;
         }
+        Ok(out)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
@@ -299,6 +302,10 @@ impl Layer for MobileNetNano {
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
         self.seq.backward(grad_out)
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) -> Result<()> {
+        self.seq.backward_params(grad_out)
     }
 
     fn params(&self) -> Vec<&Tensor> {

@@ -85,6 +85,10 @@ pub trait NeuralNet: Layer {
     /// One mini-batch SGD step: zero grads → forward → softmax-CE →
     /// backward → optimiser update. Returns the batch loss.
     ///
+    /// The backward pass is [`Layer::backward_params`]: the model's input
+    /// gradient is never computed, and the parameters come out as they
+    /// would after a full [`Layer::backward`].
+    ///
     /// # Errors
     ///
     /// Propagates shape/label errors from the forward pass and loss.
@@ -93,63 +97,90 @@ pub trait NeuralNet: Layer {
         self.zero_grads();
         let logits = self.forward(x)?;
         let loss = softmax_cross_entropy(&logits, labels)?;
-        self.backward(&loss.grad_logits)?;
+        self.backward_params(&loss.grad_logits)?;
         opt.step(self)?;
         Ok(loss.loss)
     }
 
-    /// Classification accuracy over a dataset, evaluated in chunks of at
-    /// most 256 samples to bound peak memory.
+    /// Classification accuracy over a dataset: the mean of [`accuracy`]
+    /// over chunks of at most 256 samples, weighted by chunk size.
+    ///
+    /// Each chunk's logits come from inference forwards over tiles of 32
+    /// samples (see [`EVAL_TILE`]); every layer's inference output is
+    /// computed per sample, so they are the chunk's own forward bit for bit.
     ///
     /// # Errors
     ///
     /// Propagates shape/label errors.
     fn evaluate(&mut self, x: &Tensor, labels: &[usize]) -> Result<f32> {
-        let batch = x.dims().first().copied().unwrap_or(0);
-        if batch != labels.len() || batch == 0 {
-            return Err(NnError::BadLabels(format!(
-                "{} labels for dataset of {batch}",
-                labels.len()
-            )));
-        }
-        self.set_training(false);
-        let mut correct = 0.0f64;
-        let mut start = 0usize;
-        while start < batch {
-            let end = (start + 256).min(batch);
-            let logits = self.forward(&slice_batch(x, start, end)?)?;
-            let acc = accuracy(&logits, &labels[start..end])?;
-            correct += acc as f64 * (end - start) as f64;
-            start = end;
-        }
-        Ok((correct / batch as f64) as f32)
+        chunked_mean(self, x, labels, accuracy)
     }
 
-    /// Mean softmax cross-entropy over a dataset, in chunks of 256.
+    /// Mean softmax cross-entropy over a dataset, chunked and tiled as in
+    /// [`NeuralNet::evaluate`].
     ///
     /// # Errors
     ///
     /// Propagates shape/label errors.
     fn evaluate_loss(&mut self, x: &Tensor, labels: &[usize]) -> Result<f32> {
-        let batch = x.dims().first().copied().unwrap_or(0);
-        if batch != labels.len() || batch == 0 {
-            return Err(NnError::BadLabels(format!(
-                "{} labels for dataset of {batch}",
-                labels.len()
-            )));
-        }
-        self.set_training(false);
-        let mut total = 0.0f64;
-        let mut start = 0usize;
-        while start < batch {
-            let end = (start + 256).min(batch);
-            let logits = self.forward(&slice_batch(x, start, end)?)?;
-            let out = softmax_cross_entropy(&logits, &labels[start..end])?;
-            total += out.loss as f64 * (end - start) as f64;
-            start = end;
-        }
-        Ok((total / batch as f64) as f32)
+        chunked_mean(self, x, labels, |logits, labels| {
+            Ok(softmax_cross_entropy(logits, labels)?.loss)
+        })
     }
+}
+
+/// Samples [`NeuralNet::evaluate`] and [`NeuralNet::evaluate_loss`] score
+/// with one [`accuracy`] or [`softmax_cross_entropy`] call.
+const EVAL_CHUNK: usize = 256;
+
+/// Samples one inference forward of an evaluation runs at once. A tile's
+/// activations stay small enough to be recycled by the allocator between
+/// layers: at the nano shape a 200-sample forward page-faults on its large
+/// activations (~970 minor faults per client evaluation), while tiles of
+/// 8 to 32 samples fault on none and evaluate ~30% faster.
+pub const EVAL_TILE: usize = 32;
+
+/// The sample-weighted mean of `score` over `x`'s chunks of
+/// [`EVAL_CHUNK`] samples, each scored on its tiled inference logits.
+fn chunked_mean<L: Layer + ?Sized>(
+    model: &mut L,
+    x: &Tensor,
+    labels: &[usize],
+    score: impl Fn(&Tensor, &[usize]) -> Result<f32>,
+) -> Result<f32> {
+    let batch = x.dims().first().copied().unwrap_or(0);
+    if batch != labels.len() || batch == 0 {
+        return Err(NnError::BadLabels(format!("{} labels for dataset of {batch}", labels.len())));
+    }
+    model.set_training(false);
+    let mut total = 0.0f64;
+    for start in (0..batch).step_by(EVAL_CHUNK) {
+        let end = (start + EVAL_CHUNK).min(batch);
+        let logits = tiled_logits(model, x, start, end)?;
+        total += score(&logits, &labels[start..end])? as f64 * (end - start) as f64;
+    }
+    Ok((total / batch as f64) as f32)
+}
+
+/// The logits of samples `[start, end)` of `x`, computed by forwards over
+/// tiles of [`EVAL_TILE`] samples and assembled in sample order.
+fn tiled_logits<L: Layer + ?Sized>(
+    model: &mut L,
+    x: &Tensor,
+    start: usize,
+    end: usize,
+) -> Result<Tensor> {
+    let mut logits = Vec::new();
+    let mut dims = Vec::new();
+    for at in (start..end).step_by(EVAL_TILE) {
+        let tile = model.forward(&slice_batch(x, at, (at + EVAL_TILE).min(end))?)?;
+        logits.extend_from_slice(tile.as_slice());
+        dims = tile.dims().to_vec();
+    }
+    if let Some(rows) = dims.first_mut() {
+        *rows = end - start;
+    }
+    Ok(Tensor::from_vec(logits, &dims)?)
 }
 
 impl<T: Layer + ?Sized> NeuralNet for T {}

@@ -2,15 +2,18 @@
 //! paths: after `set_training(false)` a forward computes the training
 //! forward's exact bits but keeps no backward cache, so a `backward` right
 //! after it fails with `NoForwardCache` instead of reusing a stale cache;
-//! a fresh layer starts in training mode; and evaluating a model between
-//! training steps leaves its parameters bit-identical.
+//! a fresh layer starts in training mode; evaluating a model between
+//! training steps leaves its parameters bit-identical; and the tiled
+//! evaluation returns the bits of one forward per 256-sample chunk.
 
 use fedms_nn::{
-    Conv2d, DepthwiseConv2d, GlobalAvgPool, Layer, LeakyReLU, Linear, LrSchedule, Mlp,
-    MobileNetNano, MobileNetNanoConfig, NeuralNet, NnError, ReLU, ReLU6, Sequential, Sgd,
+    accuracy, softmax_cross_entropy, Conv2d, DepthwiseConv2d, GlobalAvgPool, Layer, LeakyReLU,
+    Linear, LrSchedule, Mlp, MobileNetNano, MobileNetNanoConfig, NeuralNet, NnError, ReLU, ReLU6,
+    Sequential, Sgd, EVAL_TILE,
 };
 use fedms_tensor::rng::rng_for;
 use fedms_tensor::{Conv2dGeometry, Tensor};
+use rand::Rng;
 
 fn bits(t: &Tensor) -> Vec<u32> {
     t.as_slice().iter().map(|v| v.to_bits()).collect()
@@ -115,4 +118,76 @@ fn evaluating_between_steps_leaves_the_trained_parameters_bit_identical() {
     let plain = train_with_evals(&mut a, &x, &labels, false);
     let evals = train_with_evals(&mut b, &x, &labels, true);
     assert_eq!(plain, evals, "mobilenet_nano");
+}
+
+/// Rows `[start, end)` of a batch tensor.
+fn rows(x: &Tensor, start: usize, end: usize) -> Tensor {
+    let stride: usize = x.dims()[1..].iter().product();
+    let mut dims = x.dims().to_vec();
+    dims[0] = end - start;
+    Tensor::from_vec(x.as_slice()[start * stride..end * stride].to_vec(), &dims).unwrap()
+}
+
+/// The evaluation before tiling: one inference forward per chunk of 256
+/// samples, scored by `score` and averaged with chunk-size weights.
+fn untiled(
+    model: &mut dyn Layer,
+    x: &Tensor,
+    labels: &[usize],
+    score: impl Fn(&Tensor, &[usize]) -> f32,
+) -> f32 {
+    model.set_training(false);
+    let n = labels.len();
+    let mut total = 0.0f64;
+    for start in (0..n).step_by(256) {
+        let end = (start + 256).min(n);
+        let logits = model.forward(&rows(x, start, end)).unwrap();
+        total += score(&logits, &labels[start..end]) as f64 * (end - start) as f64;
+    }
+    (total / n as f64) as f32
+}
+
+#[test]
+fn tiled_evaluation_returns_the_untiled_forwards_bits() {
+    // A small nano keeps the debug-build test quick; it still has a stem,
+    // a residual block, a strided block and the head.
+    let cfg = MobileNetNanoConfig {
+        in_channels: 2,
+        in_h: 4,
+        in_w: 4,
+        stem_channels: 4,
+        blocks: vec![(2, 4, 1), (2, 8, 2)],
+        num_classes: 10,
+    };
+    let models: Vec<(&str, Box<dyn Layer>, Vec<usize>)> = vec![
+        ("mlp", Box::new(Mlp::new(&[12, 8, 10], 5).unwrap()), vec![12]),
+        ("mobilenet_nano", Box::new(MobileNetNano::new(cfg, 6).unwrap()), vec![2, 4, 4]),
+    ];
+    let tile = EVAL_TILE;
+    for (name, mut model, sample) in models {
+        for n in [1, tile - 1, tile, tile + 1, 200, 256, 257, 600] {
+            let mut rng = rng_for(0x1C, &[n as u64]);
+            let dims: Vec<usize> = std::iter::once(n).chain(sample.iter().copied()).collect();
+            let x = Tensor::randn(&mut rng, &dims, 0.0, 1.0);
+            let labels: Vec<usize> = (0..n).map(|_| rng.gen_range(0..10)).collect();
+
+            // Every sample's logits are the same in any batch it rides in.
+            model.set_training(false);
+            let whole = model.forward(&x).unwrap();
+            for start in (0..n).step_by(tile) {
+                let end = (start + tile).min(n);
+                let part = model.forward(&rows(&x, start, end)).unwrap();
+                assert_eq!(bits(&part), bits(&rows(&whole, start, end)), "{name} n={n} @{start}");
+            }
+
+            let acc = untiled(model.as_mut(), &x, &labels, |l, y| accuracy(l, y).unwrap());
+            let loss = untiled(model.as_mut(), &x, &labels, |l, y| {
+                softmax_cross_entropy(l, y).unwrap().loss
+            });
+            let got_acc = model.evaluate(&x, &labels).unwrap();
+            let got_loss = model.evaluate_loss(&x, &labels).unwrap();
+            assert_eq!(got_acc.to_bits(), acc.to_bits(), "{name} n={n}: accuracy");
+            assert_eq!(got_loss.to_bits(), loss.to_bits(), "{name} n={n}: loss");
+        }
+    }
 }

@@ -6,7 +6,9 @@
 //! bit-identical to the pre-refactor engine — the property the checked-in
 //! run digests in `tests/backend_parity.rs` pin. The depthwise pair replaces
 //! a per-channel im2col lowering with direct loops, nested differently but
-//! giving every output element the same start value and term order.
+//! giving every output element the same start value and term order, and
+//! `matmul`/`matmul_transa` keep blocks of one output row in registers
+//! across the whole reduction under the same rule.
 
 use std::ops::Range;
 
@@ -26,16 +28,7 @@ impl Backend for ScalarBackend {
     fn matmul(&self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
         for i in 0..m {
             let arow = &a[i * k..(i + 1) * k];
-            let orow = &mut out[i * n..(i + 1) * n];
-            for (kk, &aik) in arow.iter().enumerate() {
-                if aik == 0.0 {
-                    continue;
-                }
-                let brow = &b[kk * n..(kk + 1) * n];
-                for (o, &bkj) in orow.iter_mut().zip(brow.iter()) {
-                    *o += aik * bkj;
-                }
-            }
+            gemm_row(&mut out[i * n..(i + 1) * n], |kk| arow[kk], &b[..k * n]);
         }
     }
 
@@ -54,18 +47,8 @@ impl Backend for ScalarBackend {
     }
 
     fn matmul_transa(&self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-        for kk in 0..k {
-            let arow = &a[kk * m..(kk + 1) * m];
-            let brow = &b[kk * n..(kk + 1) * n];
-            for (i, &aki) in arow.iter().enumerate() {
-                if aki == 0.0 {
-                    continue;
-                }
-                let orow = &mut out[i * n..(i + 1) * n];
-                for (o, &bkj) in orow.iter_mut().zip(brow.iter()) {
-                    *o += aki * bkj;
-                }
-            }
+        for i in 0..m {
+            gemm_row(&mut out[i * n..(i + 1) * n], |kk| a[kk * m + i], &b[..k * n]);
         }
     }
 
@@ -177,6 +160,67 @@ impl Backend for ScalarBackend {
             }
         }
     }
+}
+
+/// One output row of the scalar `matmul`/`matmul_transa`:
+/// `orow[j] += Σ_kk coeff(kk) · b[kk][j]`, where `b` holds `k` rows of
+/// `orow.len()` and terms whose coefficient compares equal to zero are
+/// skipped.
+///
+/// Every element starts at its value in `orow` and adds its terms in `kk`
+/// order, as the `kk`-outer loops this replaced did; only the loop nest
+/// differs. Blocks of 32 and then 16 columns stay in a local array across
+/// the whole `kk` loop, so their partial sums live in registers instead of
+/// being loaded and stored once per term. The columns left over take the
+/// row-at-a-time form.
+fn gemm_row(orow: &mut [f32], coeff: impl Fn(usize) -> f32, b: &[f32]) {
+    let n = orow.len();
+    if n == 0 {
+        return;
+    }
+    let mut j = 0;
+    while j + 32 <= n {
+        gemm_block::<32>(&mut orow[j..j + 32], &coeff, b, n, j);
+        j += 32;
+    }
+    if j + 16 <= n {
+        gemm_block::<16>(&mut orow[j..j + 16], &coeff, b, n, j);
+        j += 16;
+    }
+    if j < n {
+        for (kk, brow) in b.chunks_exact(n).enumerate() {
+            let c = coeff(kk);
+            if c == 0.0 {
+                continue;
+            }
+            for (o, &v) in orow[j..].iter_mut().zip(&brow[j..]) {
+                *o += c * v;
+            }
+        }
+    }
+}
+
+/// The `W` columns of [`gemm_row`] starting at `j0`, accumulated in a
+/// local array.
+#[inline(always)]
+fn gemm_block<const W: usize>(
+    dst: &mut [f32],
+    coeff: &impl Fn(usize) -> f32,
+    b: &[f32],
+    n: usize,
+    j0: usize,
+) {
+    let mut acc: [f32; W] = std::array::from_fn(|j| dst[j]);
+    for (kk, brow) in b.chunks_exact(n).enumerate() {
+        let c = coeff(kk);
+        if c == 0.0 {
+            continue;
+        }
+        for (x, &v) in acc.iter_mut().zip(&brow[j0..j0 + W]) {
+            *x += c * v;
+        }
+    }
+    dst.copy_from_slice(&acc);
 }
 
 /// The im2col loop nest, shared by the scalar and blocked backends (the

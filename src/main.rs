@@ -157,7 +157,7 @@ fn load_spec(path: &str) -> Result<(SweepSpec, Vec<Trial>), String> {
     let source =
         std::fs::read_to_string(path).map_err(|e| format!("could not read {path}: {e}"))?;
     let mut spec = SweepSpec::parse(&source).map_err(|e| format!("{path}: {e}"))?;
-    spec.apply_env();
+    spec.apply_env(&fedms::exp::HarnessEnv::from_env().map_err(|e| e.to_string())?);
     let trials = spec.expand().map_err(|e| format!("{path}: {e}"))?;
     Ok((spec, trials))
 }
@@ -205,7 +205,10 @@ fn exp_run(args: &[String]) -> ExitCode {
     let source =
         fail!(std::fs::read_to_string(spec_path)
             .map_err(|e| format!("could not read {spec_path}: {e}")));
-    let threads = threads.unwrap_or_else(fedms::exp::threads_from_env);
+    let threads = match threads {
+        Some(threads) => threads,
+        None => fail!(fedms::exp::threads_from_env()),
+    };
     let (spec, store, report) = fail!(fedms::exp::run_spec_in(
         &source,
         std::path::Path::new(&out_dir),

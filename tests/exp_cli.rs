@@ -98,3 +98,22 @@ fn exp_run_rejects_bad_specs() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown filter"));
     let _ = std::fs::remove_file(&bad);
 }
+
+#[test]
+fn exp_run_rejects_malformed_harness_variables() {
+    let out_dir = temp_dir("env");
+    let _ = std::fs::remove_dir_all(&out_dir);
+    for (var, value) in [("FEDMS_SEEDS", "1,x,3"), ("FEDMS_ROUNDS", "6O"), ("FEDMS_THREADS", "abc")]
+    {
+        let out = fedms()
+            .args(["exp", "run", smoke_spec().to_str().unwrap()])
+            .args(["--out-dir", out_dir.to_str().unwrap()])
+            .env(var, value)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{var}={value}: {stderr}");
+        assert!(stderr.contains(var) && stderr.contains(value), "{var}={value}: {stderr}");
+    }
+    assert!(!out_dir.exists(), "no trial runs under a malformed variable");
+}
