@@ -164,14 +164,11 @@ impl Layer for Conv2d {
         let (vol, block) = (g.input_volume(), rows * plane);
         let lowered = !g.is_pointwise();
         self.cached_batch = 0;
-        // im2col writes the in-bounds taps only, the same ones on every
-        // call for this geometry, so padded taps keep the zeros the buffers
-        // were filled with. The cache is only ever resized; the scratch is
-        // shared with backward and refilled.
+        // im2col overwrites every column (padded taps as zeros), so both
+        // buffers are only resized; the scratch is shared with backward.
         if self.training {
             self.cols.resize(batch * block, 0.0);
         } else if lowered {
-            self.scratch.clear();
             self.scratch.resize(block, 0.0);
         }
         let mut out = Tensor::zeros(&[batch, oc, g.out_h, g.out_w]);
@@ -179,8 +176,7 @@ impl Layer for Conv2d {
             let img = &input.as_slice()[s * vol..(s + 1) * vol];
             let dst = &mut out.as_mut_slice()[s * oc * plane..(s + 1) * oc * plane];
             // The sample's column matrix: lowered into the batch cache or
-            // the inference scratch (im2col leaves padded taps at zero),
-            // or the image itself for a 1×1 conv.
+            // the inference scratch, or the image itself for a 1×1 conv.
             let cols: &[f32] = if self.training {
                 let cols = &mut self.cols[s * block..(s + 1) * block];
                 if lowered {

@@ -70,7 +70,7 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
     /// Lowers one `(C, H, W)` image (`image.len() == geom.input_volume()`)
     /// into its `(C·k·k, out_h·out_w)` column matrix.
     ///
-    /// `out` must be zero-initialized (padded positions are left at zero).
+    /// Overwrites `out` completely, padded positions with `0.0`.
     fn im2col(&self, image: &[f32], geom: &Conv2dGeometry, out: &mut [f32]);
 
     /// Scatters a `(C·k·k, out_h·out_w)` column matrix back onto a

@@ -120,6 +120,38 @@ fn run_rejects_garbage_config() {
 }
 
 #[test]
+fn run_rejects_a_config_key_that_names_no_field() {
+    // A misspelt key must fail the load instead of leaving its field at
+    // the default (`"clinets": 6` would train with K = 50), at the top
+    // level and inside a nested object alike.
+    let cfg_path = temp_path("typo.json");
+    let out =
+        fedms().args(["init-config", cfg_path.to_str().unwrap()]).output().expect("binary runs");
+    assert!(out.status.success());
+    let body = std::fs::read_to_string(&cfg_path).unwrap();
+    let mut cfg: serde_json::Value = serde_json::from_str(&body).unwrap();
+    // Small enough that a regression fails fast instead of running a
+    // paper-size experiment.
+    cfg["rounds"] = 1.into();
+    cfg["dataset"]["train_per_class"] = 5.into();
+    cfg["dataset"]["test_per_class"] = 2.into();
+    for (path, key) in [(None, "clinets"), (Some("dataset"), "hieght")] {
+        let mut typo = cfg.clone();
+        let target = match path {
+            Some(p) => &mut typo[p],
+            None => &mut typo,
+        };
+        target[key] = 6.into();
+        std::fs::write(&cfg_path, serde_json::to_string(&typo).unwrap()).unwrap();
+        let out = fedms().args(["run", cfg_path.to_str().unwrap()]).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{key}: {stderr}");
+        assert!(stderr.contains(&format!("unknown field `{key}`")), "{key}: {stderr}");
+    }
+    let _ = std::fs::remove_file(cfg_path);
+}
+
+#[test]
 fn unknown_flag_rejected() {
     let out = fedms().args(["run", "--bogus"]).output().expect("binary runs");
     assert!(!out.status.success());
