@@ -4,46 +4,26 @@
 use fedms_tensor::Tensor;
 
 use crate::rule::validate_models;
-use crate::{AggError, AggregationRule, Result};
+use crate::{AggregationRule, Result};
 
 /// The geometric median: the point minimising the sum of Euclidean
 /// distances to the models, computed by damped Weiszfeld fixed-point
 /// iteration with an `ε` smoothing floor to avoid division blow-ups when the
 /// iterate lands on a model.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GeometricMedian {
-    max_iters: usize,
-    tolerance: f32,
-    epsilon: f32,
-}
-
-impl Default for GeometricMedian {
-    fn default() -> Self {
-        GeometricMedian { max_iters: 64, tolerance: 1e-6, epsilon: 1e-8 }
-    }
-}
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct GeometricMedian;
 
 impl GeometricMedian {
-    /// Creates the rule with default iteration limits (64 iterations,
-    /// tolerance 1e-6).
-    pub fn new() -> Self {
-        Self::default()
-    }
+    /// Iteration budget.
+    const MAX_ITERS: usize = 64;
+    /// The iteration stops once an update moves the iterate by at most this.
+    const TOLERANCE: f32 = 1e-6;
+    /// Floor on the distance to a model (the smoothing `ε`).
+    const EPSILON: f32 = 1e-8;
 
-    /// Overrides the iteration budget.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AggError::BadParameter`] for a zero iteration budget or
-    /// non-positive tolerance.
-    pub fn with_budget(max_iters: usize, tolerance: f32) -> Result<Self> {
-        if max_iters == 0 {
-            return Err(AggError::BadParameter("need at least one iteration".into()));
-        }
-        if !(tolerance.is_finite() && tolerance > 0.0) {
-            return Err(AggError::BadParameter(format!("bad tolerance {tolerance}")));
-        }
-        Ok(GeometricMedian { max_iters, tolerance, epsilon: 1e-8 })
+    /// Creates the rule (64 iterations, tolerance 1e-6).
+    pub fn new() -> Self {
+        GeometricMedian
     }
 }
 
@@ -57,11 +37,11 @@ impl AggregationRule for GeometricMedian {
         // Start from the coordinate-wise mean.
         let mut current = crate::Mean::new().aggregate(models)?;
         let mut next = vec![0.0f64; len];
-        for _ in 0..self.max_iters {
+        for _ in 0..Self::MAX_ITERS {
             next.iter_mut().for_each(|v| *v = 0.0);
             let mut weight_sum = 0.0f64;
             for m in models {
-                let dist = m.sub(&current)?.norm_l2().max(self.epsilon) as f64;
+                let dist = m.sub(&current)?.norm_l2().max(Self::EPSILON) as f64;
                 let w = 1.0 / dist;
                 weight_sum += w;
                 for (acc, &v) in next.iter_mut().zip(m.as_slice()) {
@@ -72,7 +52,7 @@ impl AggregationRule for GeometricMedian {
             let candidate = Tensor::from_vec(candidate, current.dims())?;
             let moved = candidate.sub(&current)?.norm_l2();
             current = candidate;
-            if moved <= self.tolerance {
+            if moved <= Self::TOLERANCE {
                 break;
             }
         }
@@ -120,14 +100,6 @@ mod tests {
         let out = GeometricMedian::new().aggregate(&models).unwrap();
         assert!((out.as_slice()[0] - 3.0).abs() < 1e-5);
         assert!((out.as_slice()[1] + 1.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn budget_validation() {
-        assert!(GeometricMedian::with_budget(0, 1e-6).is_err());
-        assert!(GeometricMedian::with_budget(10, 0.0).is_err());
-        assert!(GeometricMedian::with_budget(10, f32::NAN).is_err());
-        assert!(GeometricMedian::with_budget(10, 1e-6).is_ok());
     }
 
     #[test]

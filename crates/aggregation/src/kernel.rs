@@ -31,7 +31,7 @@
 //! ([`f32::total_cmp`]): `-NaN < -∞ < … < -0.0 < +0.0 < … < +∞ < +NaN`.
 //! The network path realizes the same order branchlessly by mapping each
 //! `f32` bit pattern to a `u32` key whose unsigned order coincides with
-//! `totalOrder` ([`encode_total_order`]), running Batcher's odd-even
+//! `totalOrder` (`encode_total_order`), running Batcher's odd-even
 //! merge network with `u32::min`/`u32::max` compare-exchanges (which the
 //! compiler auto-vectorizes across the block), and decoding the band
 //! back for the sum. Values comparing equal under `totalOrder` have

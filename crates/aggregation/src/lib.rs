@@ -16,7 +16,7 @@
 //!
 //! The coordinate-wise rules (trimmed mean, median, Bulyan stage 2) run
 //! on the blocked selection kernels in [`kernel`]; the historical
-//! sort-per-coordinate code lives on in [`reference`] as the oracle the
+//! sort-per-coordinate code lives on in [`mod@reference`] as the oracle the
 //! kernels are property-tested against bit-for-bit.
 //!
 //! When the Byzantine count is unknown or time-varying, the online

@@ -153,8 +153,7 @@ impl SgdStepWorkload {
     fn new(name: &'static str, backend: BackendHandle) -> Self {
         let mut model = Mlp::new(&MLP_WIDTHS, 0x5D).expect("paper mlp");
         model.set_backend(backend);
-        let mut optimizer = Sgd::new(LrSchedule::Constant(0.05)).expect("sgd");
-        optimizer.set_backend(backend);
+        let optimizer = Sgd::new(LrSchedule::Constant(0.05)).expect("sgd");
         let init = model.param_vector();
         let input =
             Tensor::from_vec(pseudo_values(0x5E, BATCH * MLP_WIDTHS[0]), &[BATCH, MLP_WIDTHS[0]])

@@ -22,22 +22,18 @@
 //! # Ok::<(), fedms_data::DataError>(())
 //! ```
 
-mod augment;
 mod dataset;
 mod error;
 mod histogram;
 mod partition;
 mod sampler;
-mod sensor;
 mod synth;
 
-pub use augment::{augment_dataset, Augmentation};
 pub use dataset::Dataset;
 pub use error::DataError;
 pub use histogram::LabelHistogram;
 pub use partition::{mean_tv_distance, DirichletPartitioner};
 pub use sampler::BatchSampler;
-pub use sensor::SynthSensorConfig;
 pub use synth::{SynthVision, SynthVisionConfig};
 
 /// Crate-wide `Result` alias using [`DataError`].

@@ -88,12 +88,8 @@ pub trait Layer: Send {
     /// average pooling and the inverted-residual blocks) keep no backward
     /// cache: they compute the same output bits as in training, and a
     /// [`Layer::backward`] right after an inference forward returns
-    /// [`crate::NnError::NoForwardCache`]. Layers with distinct inference
-    /// arithmetic override this too: [`crate::BatchNorm2d`] switches to its
-    /// running statistics and keeps its cache, since its inference backward
-    /// is a gradient-checked affine map, and [`crate::Dropout`] becomes the
-    /// identity. The default is a no-op for mode-free layers (the other
-    /// pooling and reshaping layers).
+    /// [`crate::NnError::NoForwardCache`]. The default is a no-op for
+    /// mode-free layers such as [`crate::Flatten`].
     fn set_training(&mut self, _training: bool) {}
 
     /// Routes this layer's dense kernels through `backend`. Layers whose

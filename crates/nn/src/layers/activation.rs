@@ -101,28 +101,6 @@ activation_layer!(
     |x: f32| if x > 0.0 { 1.0 } else { 0.01 }
 );
 
-activation_layer!(
-    /// Logistic sigmoid `1/(1+e^{−x})`.
-    Sigmoid,
-    "sigmoid",
-    |x| 1.0 / (1.0 + (-x).exp()),
-    |x: f32| {
-        let s = 1.0 / (1.0 + (-x).exp());
-        s * (1.0 - s)
-    }
-);
-
-activation_layer!(
-    /// Hyperbolic tangent.
-    Tanh,
-    "tanh",
-    |x| x.tanh(),
-    |x: f32| {
-        let t = x.tanh();
-        1.0 - t * t
-    }
-);
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,28 +168,5 @@ mod tests {
         // LeakyReLU is differentiable a.e. with nonzero slope everywhere,
         // making it the cleanest numerical check of the macro's backward.
         crate::gradcheck::check_layer(Box::new(LeakyReLU::new()), &[2, 5], 3, 2e-2).unwrap();
-    }
-
-    #[test]
-    fn sigmoid_range_and_midpoint() {
-        let mut l = Sigmoid::new();
-        let y = l.forward(&Tensor::from_slice(&[-100.0, 0.0, 100.0])).unwrap();
-        assert!(y.as_slice()[0] < 1e-6);
-        assert!((y.as_slice()[1] - 0.5).abs() < 1e-6);
-        assert!(y.as_slice()[2] > 1.0 - 1e-6);
-    }
-
-    #[test]
-    fn tanh_is_odd() {
-        let mut l = Tanh::new();
-        let y = l.forward(&Tensor::from_slice(&[-1.0, 0.0, 1.0])).unwrap();
-        assert!((y.as_slice()[0] + y.as_slice()[2]).abs() < 1e-6);
-        assert_eq!(y.as_slice()[1], 0.0);
-    }
-
-    #[test]
-    fn smooth_activations_pass_gradcheck() {
-        crate::gradcheck::check_layer(Box::new(Sigmoid::new()), &[3, 4], 5, 2e-2).unwrap();
-        crate::gradcheck::check_layer(Box::new(Tanh::new()), &[3, 4], 7, 2e-2).unwrap();
     }
 }

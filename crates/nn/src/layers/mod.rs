@@ -1,21 +1,13 @@
 //! Concrete layer implementations.
 
 mod activation;
-mod avgpool;
-mod batchnorm;
 mod conv;
-mod dropout;
 mod linear;
-mod maxpool;
 mod pool;
 mod sequential;
 
-pub use activation::{LeakyReLU, ReLU, ReLU6, Sigmoid, Tanh};
-pub use avgpool::AvgPool2d;
-pub use batchnorm::BatchNorm2d;
+pub use activation::{LeakyReLU, ReLU, ReLU6};
 pub use conv::{Conv2d, DepthwiseConv2d};
-pub use dropout::Dropout;
 pub use linear::Linear;
-pub use maxpool::MaxPool2d;
 pub use pool::{Flatten, GlobalAvgPool};
 pub use sequential::Sequential;

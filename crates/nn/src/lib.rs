@@ -46,8 +46,7 @@ mod sgd;
 pub use error::NnError;
 pub use layer::Layer;
 pub use layers::{
-    AvgPool2d, BatchNorm2d, Conv2d, DepthwiseConv2d, Dropout, Flatten, GlobalAvgPool, LeakyReLU,
-    Linear, MaxPool2d, ReLU, ReLU6, Sequential, Sigmoid, Tanh,
+    Conv2d, DepthwiseConv2d, Flatten, GlobalAvgPool, LeakyReLU, Linear, ReLU, ReLU6, Sequential,
 };
 pub use loss::{accuracy, softmax, softmax_cross_entropy, LossOutput};
 pub use models::{Mlp, MobileNetNano, MobileNetNanoConfig};

@@ -1,6 +1,5 @@
 //! Mini-batch stochastic gradient descent with the paper's step-size family.
 
-use fedms_tensor::BackendHandle;
 use serde::{Deserialize, Serialize};
 
 use crate::{Layer, NnError, Result};
@@ -23,25 +22,6 @@ pub enum LrSchedule {
         /// Offset `γ` (the proof takes `γ = max(8L/μ, E)`).
         gamma: f32,
     },
-    /// Staircase decay: `η_t = initial · factor^⌊t/every⌋`.
-    StepDecay {
-        /// Rate at `t = 0`.
-        initial: f32,
-        /// Multiplicative factor per stage (in `(0, 1]` for decay).
-        factor: f32,
-        /// Steps per stage.
-        every: usize,
-    },
-    /// Cosine annealing from `initial` to `floor` over `horizon` steps,
-    /// constant at `floor` afterwards.
-    Cosine {
-        /// Rate at `t = 0`.
-        initial: f32,
-        /// Final rate.
-        floor: f32,
-        /// Annealing horizon in steps.
-        horizon: usize,
-    },
 }
 
 impl LrSchedule {
@@ -50,27 +30,32 @@ impl LrSchedule {
         match *self {
             LrSchedule::Constant(lr) => lr,
             LrSchedule::InverseDecay { phi, gamma } => phi / (gamma + t as f32),
-            LrSchedule::StepDecay { initial, factor, every } => {
-                initial * factor.powi((t / every.max(1)) as i32)
-            }
-            LrSchedule::Cosine { initial, floor, horizon } => {
-                if horizon == 0 || t >= horizon {
-                    floor
-                } else {
-                    let progress = t as f32 / horizon as f32;
-                    floor
-                        + 0.5 * (initial - floor) * (1.0 + (std::f32::consts::PI * progress).cos())
-                }
-            }
         }
     }
 
-    /// Validates that the schedule produces positive, finite rates.
+    /// Validates that the schedule produces positive, finite rates at
+    /// every step.
+    ///
+    /// [`LrSchedule::InverseDecay`] needs finite `phi > 0` and `gamma > 0`
+    /// (Theorem 1 takes `φ = 2/μ` and `γ = max(8L/μ, E)`): with a negative
+    /// `γ`, `γ + t` reaches zero after `−γ` steps and every rate past it
+    /// has the wrong sign. With both positive the rates fall from `η_0`, so
+    /// a finite `η_0` bounds every step of either schedule.
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::BadConfig`] for non-positive or non-finite values.
+    /// Returns [`NnError::BadConfig`] naming the offending field for
+    /// non-positive or non-finite values.
     pub fn validate(&self) -> Result<()> {
+        if let LrSchedule::InverseDecay { phi, gamma } = *self {
+            for (field, value) in [("phi", phi), ("gamma", gamma)] {
+                if !(value.is_finite() && value > 0.0) {
+                    return Err(NnError::BadConfig(format!(
+                        "InverseDecay {field} must be finite and positive, got {value}"
+                    )));
+                }
+            }
+        }
         let probe = self.lr_at(0);
         if !(probe.is_finite() && probe > 0.0) {
             return Err(NnError::BadConfig(format!("learning rate at t=0 is {probe}")));
@@ -79,8 +64,7 @@ impl LrSchedule {
     }
 }
 
-/// Plain SGD: `p ← p − η_t · ∇p`, with optional global gradient-norm
-/// clipping for stability under f32 arithmetic.
+/// Plain SGD: `p ← p − η_t · ∇p`.
 ///
 /// # Example
 ///
@@ -95,11 +79,6 @@ impl LrSchedule {
 pub struct Sgd {
     schedule: LrSchedule,
     step: usize,
-    clip_norm: Option<f32>,
-    momentum: f32,
-    weight_decay: f32,
-    velocity: Vec<Vec<f32>>,
-    backend: BackendHandle,
 }
 
 impl Sgd {
@@ -110,72 +89,12 @@ impl Sgd {
     /// Returns [`NnError::BadConfig`] if the schedule is invalid.
     pub fn new(schedule: LrSchedule) -> Result<Self> {
         schedule.validate()?;
-        Ok(Sgd {
-            schedule,
-            step: 0,
-            clip_norm: None,
-            momentum: 0.0,
-            weight_decay: 0.0,
-            velocity: Vec::new(),
-            backend: BackendHandle::scalar(),
-        })
-    }
-
-    /// Routes the parameter-update loop through `backend`.
-    pub fn set_backend(&mut self, backend: BackendHandle) {
-        self.backend = backend;
-    }
-
-    /// Enables heavy-ball momentum: `v ← m·v + ∇p`, `p ← p − η·v`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::BadConfig`] unless `0 ≤ momentum < 1`.
-    pub fn with_momentum(mut self, momentum: f32) -> Result<Self> {
-        if !(momentum.is_finite() && (0.0..1.0).contains(&momentum)) {
-            return Err(NnError::BadConfig(format!("momentum must be in [0, 1), got {momentum}")));
-        }
-        self.momentum = momentum;
-        Ok(self)
-    }
-
-    /// Enables decoupled L2 weight decay: the effective gradient becomes
-    /// `∇p + weight_decay · p`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::BadConfig`] for negative or non-finite values.
-    pub fn with_weight_decay(mut self, weight_decay: f32) -> Result<Self> {
-        if !(weight_decay.is_finite() && weight_decay >= 0.0) {
-            return Err(NnError::BadConfig(format!(
-                "weight decay must be non-negative, got {weight_decay}"
-            )));
-        }
-        self.weight_decay = weight_decay;
-        Ok(self)
-    }
-
-    /// Enables global gradient-norm clipping at `max_norm`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::BadConfig`] for a non-positive bound.
-    pub fn with_clip_norm(mut self, max_norm: f32) -> Result<Self> {
-        if !(max_norm.is_finite() && max_norm > 0.0) {
-            return Err(NnError::BadConfig(format!("clip norm must be positive, got {max_norm}")));
-        }
-        self.clip_norm = Some(max_norm);
-        Ok(self)
+        Ok(Sgd { schedule, step: 0 })
     }
 
     /// The learning rate that the *next* [`Sgd::step`] will use.
     pub fn current_lr(&self) -> f32 {
         self.schedule.lr_at(self.step)
-    }
-
-    /// Number of steps taken so far.
-    pub fn steps_taken(&self) -> usize {
-        self.step
     }
 
     /// Rewinds or advances the internal step counter (used when a client
@@ -195,33 +114,11 @@ impl Sgd {
     /// schedule validation.
     pub fn step<M: Layer + ?Sized>(&mut self, model: &mut M) -> Result<()> {
         let lr = self.current_lr();
-        let scale = match self.clip_norm {
-            Some(max_norm) => {
-                let total: f32 = model.grads().iter().map(|g| g.norm_l2_sq()).sum::<f32>().sqrt();
-                if total > max_norm {
-                    max_norm / total
-                } else {
-                    1.0
-                }
-            }
-            None => 1.0,
-        };
         let grads: Vec<Vec<f32>> = model.grads().iter().map(|g| g.as_slice().to_vec()).collect();
-        if self.momentum > 0.0 && self.velocity.len() != grads.len() {
-            self.velocity = grads.iter().map(|g| vec![0.0f32; g.len()]).collect();
-        }
-        for (pi, (param, grad)) in model.params_mut().into_iter().zip(grads.iter()).enumerate() {
-            let velocity =
-                if self.momentum > 0.0 { Some(self.velocity[pi].as_mut_slice()) } else { None };
-            self.backend.sgd_update(
-                param.as_mut_slice(),
-                grad,
-                lr,
-                scale,
-                self.weight_decay,
-                self.momentum,
-                velocity,
-            );
+        for (param, grad) in model.params_mut().into_iter().zip(&grads) {
+            for (p, &g) in param.as_mut_slice().iter_mut().zip(grad) {
+                *p -= lr * g;
+            }
         }
         self.step += 1;
         Ok(())
@@ -234,6 +131,105 @@ mod tests {
     use crate::Linear;
     use fedms_tensor::rng::rng_for;
     use fedms_tensor::Tensor;
+    use rand::Rng;
+    use std::hint::black_box;
+
+    /// A layer that is only parameters and gradients, both set by the test.
+    struct Fixed {
+        params: Vec<Tensor>,
+        grads: Vec<Tensor>,
+    }
+
+    impl Layer for Fixed {
+        fn name(&self) -> &'static str {
+            "fixed"
+        }
+
+        fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
+            Ok(input.clone())
+        }
+
+        fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+            Ok(grad_out.clone())
+        }
+
+        fn params(&self) -> Vec<&Tensor> {
+            self.params.iter().collect()
+        }
+
+        fn params_mut(&mut self) -> Vec<&mut Tensor> {
+            self.params.iter_mut().collect()
+        }
+
+        fn grads(&self) -> Vec<&Tensor> {
+            self.grads.iter().collect()
+        }
+
+        fn zero_grads(&mut self) {}
+    }
+
+    #[test]
+    fn step_matches_the_unit_scale_zero_decay_update_bit_for_bit() {
+        // The pinned run digests come from `p − lr·(scale·g +
+        // weight_decay·p)` with `scale = 1.0` and `weight_decay = 0.0` as
+        // run-time values, and `p − lr·g` must keep their bits. It does for
+        // every finite or NaN `p`: the `0.0·p` term can only turn a `−0.0`
+        // gradient into `+0.0`, and `p − lr·(±0.0)` is the same for every
+        // `p`. The two differ at `p = ±∞` alone, where `0.0·p` is NaN (the
+        // reference gives NaN, `p − lr·g` gives ±∞), so infinite
+        // parameters are left out.
+        let special = [
+            0.0,
+            -0.0,
+            f32::from_bits(1),
+            -f32::from_bits(0x0040_0000),
+            f32::MIN_POSITIVE,
+            f32::MAX,
+            -f32::MAX,
+            f32::NAN,
+            1.0,
+            -1.0,
+        ];
+        let mut p = Vec::new();
+        let mut g = Vec::new();
+        for &a in &special {
+            for &b in special.iter().chain(&[f32::INFINITY, f32::NEG_INFINITY]) {
+                p.push(a);
+                g.push(b);
+            }
+        }
+        let mut rng = rng_for(0x5CD, &[]);
+        // Random bit patterns reach every exponent and NaN payload; values
+        // of one scale exercise the rounding of `lr·g` against `p`.
+        while p.len() < 8192 {
+            let a = f32::from_bits(rng.gen());
+            if !a.is_infinite() {
+                p.push(a);
+                g.push(f32::from_bits(rng.gen()));
+            }
+        }
+        let mut ordinary = Tensor::randn(&mut rng, &[2, 8192], 0.0, 1.0).into_vec();
+        g.extend(ordinary.split_off(8192));
+        p.extend(ordinary);
+        let mid = p.len() / 2;
+        for lr in [0.05f32, 0.1, 1.0, 3.0, 1.5e-7] {
+            let mut layer = Fixed {
+                params: vec![Tensor::from_slice(&p[..mid]), Tensor::from_slice(&p[mid..])],
+                grads: vec![Tensor::from_slice(&g[..mid]), Tensor::from_slice(&g[mid..])],
+            };
+            Sgd::new(LrSchedule::Constant(lr)).unwrap().step(&mut layer).unwrap();
+            let (scale, weight_decay) = (black_box(1.0f32), black_box(0.0f32));
+            let stepped = layer.params.iter().flat_map(|t| t.as_slice());
+            for ((&p, &g), &got) in p.iter().zip(&g).zip(stepped) {
+                let want = p - lr * (scale * g + weight_decay * p);
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "lr {lr:e}, p {p:e}, g {g:e}: stepped to {got:e}, reference {want:e}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn schedules_evaluate() {
@@ -254,38 +250,25 @@ mod tests {
     }
 
     #[test]
-    fn step_decay_staircase() {
-        let s = LrSchedule::StepDecay { initial: 1.0, factor: 0.5, every: 10 };
-        assert_eq!(s.lr_at(0), 1.0);
-        assert_eq!(s.lr_at(9), 1.0);
-        assert_eq!(s.lr_at(10), 0.5);
-        assert_eq!(s.lr_at(25), 0.25);
-        assert!(s.validate().is_ok());
-    }
-
-    #[test]
-    fn cosine_anneals_to_floor() {
-        let s = LrSchedule::Cosine { initial: 1.0, floor: 0.1, horizon: 100 };
-        assert!((s.lr_at(0) - 1.0).abs() < 1e-6);
-        assert!((s.lr_at(100) - 0.1).abs() < 1e-6);
-        assert!((s.lr_at(1000) - 0.1).abs() < 1e-6);
-        let mid = s.lr_at(50);
-        assert!((mid - 0.55).abs() < 1e-3, "halfway = mean of endpoints, got {mid}");
-        for t in 0..100 {
-            assert!(s.lr_at(t + 1) <= s.lr_at(t) + 1e-6);
-        }
-        // Degenerate horizon is the floor everywhere.
-        let flat = LrSchedule::Cosine { initial: 1.0, floor: 0.2, horizon: 0 };
-        assert_eq!(flat.lr_at(0), 0.2);
-    }
-
-    #[test]
     fn validation_rejects_bad_rates() {
         assert!(LrSchedule::Constant(0.0).validate().is_err());
         assert!(LrSchedule::Constant(-1.0).validate().is_err());
         assert!(LrSchedule::Constant(f32::NAN).validate().is_err());
         assert!(Sgd::new(LrSchedule::Constant(0.0)).is_err());
-        assert!(Sgd::new(LrSchedule::Constant(0.1)).unwrap().with_clip_norm(-1.0).is_err());
+        // η_0 = 0.1 here, but γ + t reaches zero at t = 10.
+        let err = LrSchedule::InverseDecay { phi: -1.0, gamma: -10.0 }.validate().unwrap_err();
+        assert!(err.to_string().contains("phi"), "{err}");
+        for gamma in [-10.0, 0.0, f32::NAN, f32::INFINITY] {
+            let err = LrSchedule::InverseDecay { phi: 2.0, gamma }.validate().unwrap_err();
+            assert!(err.to_string().contains("gamma"), "{gamma}: {err}");
+        }
+        for phi in [-1.0, 0.0, f32::NAN, f32::INFINITY] {
+            let err = LrSchedule::InverseDecay { phi, gamma: 8.0 }.validate().unwrap_err();
+            assert!(err.to_string().contains("phi"), "{phi}: {err}");
+        }
+        // Positive fields whose η_0 overflows are still rejected.
+        assert!(LrSchedule::InverseDecay { phi: f32::MAX, gamma: 0.5 }.validate().is_err());
+        assert!(LrSchedule::InverseDecay { phi: 2.0, gamma: 8.0 }.validate().is_ok());
     }
 
     #[test]
@@ -303,7 +286,6 @@ mod tests {
         for (b, a) in before.iter().zip(after.iter()) {
             assert!((b - a - 0.1).abs() < 1e-6, "each weight should decrease by lr*1");
         }
-        assert_eq!(opt.steps_taken(), 1);
     }
 
     #[test]
@@ -312,79 +294,9 @@ mod tests {
         assert_eq!(opt.current_lr(), 1.0);
         opt.set_step(4);
         assert_eq!(opt.current_lr(), 0.2);
-    }
-
-    #[test]
-    fn momentum_accumulates_velocity() {
-        // Constant unit gradient: after k steps with momentum m the update
-        // is lr·(1 + m + m² + …) per step — strictly larger than plain SGD.
-        let mut rng = rng_for(3, &[]);
-        let mut plain_model = Linear::new(1, 1, &mut rng).unwrap();
-        let mut momentum_model = plain_model.clone();
-        let mut plain = Sgd::new(LrSchedule::Constant(0.1)).unwrap();
-        let mut with_m = Sgd::new(LrSchedule::Constant(0.1)).unwrap().with_momentum(0.9).unwrap();
-        let x = Tensor::ones(&[1, 1]);
-        for _ in 0..5 {
-            for (model, opt) in [(&mut plain_model, &mut plain), (&mut momentum_model, &mut with_m)]
-            {
-                model.forward(&x).unwrap();
-                model.zero_grads();
-                model.backward(&Tensor::ones(&[1, 1])).unwrap();
-                opt.step(model).unwrap();
-            }
-        }
-        let moved_plain = plain_model.params()[0].as_slice()[0];
-        let moved_momentum = momentum_model.params()[0].as_slice()[0];
-        assert!(
-            moved_momentum < moved_plain,
-            "momentum should have travelled further downhill: {moved_momentum} vs {moved_plain}"
-        );
-    }
-
-    #[test]
-    fn weight_decay_shrinks_parameters() {
-        let mut rng = rng_for(4, &[]);
-        let mut l = Linear::new(2, 2, &mut rng).unwrap();
-        let before = l.params()[0].norm_l2();
-        let mut opt = Sgd::new(LrSchedule::Constant(0.1)).unwrap().with_weight_decay(0.5).unwrap();
-        // Zero gradients: the only force is decay.
-        l.zero_grads();
-        for _ in 0..10 {
-            opt.step(&mut l).unwrap();
-        }
-        let after = l.params()[0].norm_l2();
-        assert!(after < before * 0.7, "decay should shrink weights: {before} → {after}");
-    }
-
-    #[test]
-    fn momentum_and_decay_validation() {
-        let base = || Sgd::new(LrSchedule::Constant(0.1)).unwrap();
-        assert!(base().with_momentum(1.0).is_err());
-        assert!(base().with_momentum(-0.1).is_err());
-        assert!(base().with_momentum(0.9).is_ok());
-        assert!(base().with_weight_decay(-0.1).is_err());
-        assert!(base().with_weight_decay(f32::NAN).is_err());
-        assert!(base().with_weight_decay(1e-4).is_ok());
-    }
-
-    #[test]
-    fn clipping_bounds_update_magnitude() {
-        let mut rng = rng_for(2, &[]);
-        let mut l = Linear::new(4, 4, &mut rng).unwrap();
-        let before: Vec<f32> = l.params()[0].as_slice().to_vec();
-        let x = Tensor::full(&[1, 4], 100.0);
-        let y = l.forward(&x).unwrap();
-        l.zero_grads();
-        l.backward(&y).unwrap();
-        let mut opt = Sgd::new(LrSchedule::Constant(1.0)).unwrap().with_clip_norm(0.5).unwrap();
+        // Each step uses the current rate, then advances the counter.
+        let mut l = Linear::new(2, 1, &mut rng_for(5, &[])).unwrap();
         opt.step(&mut l).unwrap();
-        let moved: f32 = l.params()[0]
-            .as_slice()
-            .iter()
-            .zip(before.iter())
-            .map(|(a, b)| (a - b).powi(2))
-            .sum::<f32>()
-            .sqrt();
-        assert!(moved <= 0.5 + 1e-4, "clipped update moved {moved}");
+        assert_eq!(opt.current_lr(), 1.0 / 6.0);
     }
 }

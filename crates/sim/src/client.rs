@@ -69,13 +69,6 @@ impl Client {
         Ok(Client { id, model, data, batch_size, seed, optimizer })
     }
 
-    /// Routes the model's dense kernels and the optimizer's update loop
-    /// through `backend` (the scalar reference backend by default).
-    pub fn set_backend(&mut self, backend: fedms_tensor::BackendHandle) {
-        self.model.set_backend(backend);
-        self.optimizer.set_backend(backend);
-    }
-
     /// This client's id.
     pub fn id(&self) -> usize {
         self.id

@@ -29,12 +29,11 @@ pub use snapshot::{Snapshot, SNAPSHOT_VERSION};
 /// [`fedms_aggregation::Mean`] makes it the Vanilla-FL baseline, and any
 /// other [`AggregationRule`] gives an ablation. Also generic over the
 /// delivery substrate: each round is executed as the phase pipeline
-/// [`phases::local_train`] → [`phases::upload`] → [`phases::aggregate`] →
-/// [`phases::disseminate`] → [`phases::filter`] over a [`Transport`]
-/// (a [`LocalTransport`] by default; swap it with
+/// local train → upload → aggregate → disseminate → filter over a
+/// [`Transport`] (a [`LocalTransport`] by default; swap it with
 /// [`SimulationEngine::set_transport`]).
 ///
-/// Clients live in a [`ClientStore`] — per-client metadata plus an
+/// Clients live in a client store — per-client metadata plus an
 /// interned bank of model vectors — and are rehydrated lazily for the
 /// rounds that sample them, so memory scales with the per-round *cohort*
 /// ([`EngineConfig::cohort`]), not the federation size `K`.

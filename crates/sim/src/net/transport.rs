@@ -3,7 +3,7 @@
 //! Unlike [`crate::LocalTransport`], which hands payloads over in memory,
 //! this transport actually *moves messages between threads*: every upload
 //! and dissemination is encoded as a length-prefixed
-//! [`Frame`](crate::net::Frame) and sent over a bounded channel
+//! [`crate::net::Frame`] and sent over a bounded channel
 //! (backpressure: a sender that outruns the actor blocks) to one
 //! frame-decoding actor, which keeps each server's uplink inbox and the
 //! round's broadcast queue until they are asked for. Uploads to the same

@@ -311,16 +311,14 @@ impl ClientStore {
         if let Some(&offset) = self.poison.get(&k) {
             shard = shard.with_rotated_labels(offset);
         }
-        let model = self.spec.build(self.init_seed)?;
         let mut client = Client::new(
             k,
-            model,
+            self.build_model()?,
             shard,
             self.batch_size,
             self.schedule,
             derive_seed(self.root_seed, &[0x434C_4E54, k as u64]), // "CLNT"
         )?;
-        client.set_backend(self.backend);
         client.set_model_vector(self.bank.get(k))?;
         Ok(client)
     }

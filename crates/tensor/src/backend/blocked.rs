@@ -1,11 +1,13 @@
 //! The optimized CPU backend: blocked, multi-accumulator, optionally
 //! threaded kernels.
 //!
-//! Only available behind the `backend-blocked` feature. The kernels here
-//! reassociate floating-point reductions (multiple accumulators, pairwise
-//! combination), so results differ from [`super::ScalarBackend`] in the last
-//! ulps; gradcheck and elementwise-tolerance tests pin them to the
-//! reference. For a fixed thread count the kernels are fully deterministic:
+//! Only available behind the `backend-blocked` feature. The three GEMMs
+//! here reassociate floating-point reductions (multiple accumulators,
+//! pairwise combination), so results differ from [`super::ScalarBackend`]
+//! in the last ulps; gradcheck and elementwise-tolerance tests pin them to
+//! the reference. The lowering and the depthwise pair run the scalar
+//! backend's loops. For a fixed thread count the kernels are fully
+//! deterministic:
 //! intra-op threading splits *output* rows into disjoint contiguous chunks,
 //! each computed with the identical per-element arithmetic, so the result
 //! bits do not depend on scheduling.
@@ -214,13 +216,6 @@ impl Backend for BlockedBackend {
         });
     }
 
-    fn matvec(&self, a: &[f32], x: &[f32], out: &mut [f32], m: usize, n: usize) {
-        let _ = m;
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = dot_blocked(&a[i * n..(i + 1) * n], x);
-        }
-    }
-
     fn im2col(&self, image: &[f32], geom: &Conv2dGeometry, out: &mut [f32]) {
         scalar::im2col_loops(image, geom, out);
     }
@@ -260,72 +255,7 @@ impl Backend for BlockedBackend {
             grad_bias,
         );
     }
-
-    fn axpy(&self, alpha: f32, x: &[f32], y: &mut [f32]) {
-        for (o, &v) in y.iter_mut().zip(x.iter()) {
-            *o += alpha * v;
-        }
-    }
-
-    fn scale(&self, alpha: f32, x: &mut [f32]) {
-        for v in x.iter_mut() {
-            *v *= alpha;
-        }
-    }
-
-    fn dot(&self, x: &[f32], y: &[f32]) -> f32 {
-        dot_blocked(x, y)
-    }
-
-    fn sum(&self, x: &[f32]) -> f32 {
-        let mut acc = [0.0f32; LANES];
-        let mut xc = x.chunks_exact(LANES);
-        for xs in &mut xc {
-            for l in 0..LANES {
-                acc[l] += xs[l];
-            }
-        }
-        let tail: f32 = xc.remainder().iter().sum();
-        let mut width = LANES / 2;
-        while width > 0 {
-            for l in 0..width {
-                acc[l] += acc[l + width];
-            }
-            width /= 2;
-        }
-        acc[0] + tail
-    }
-
-    fn softmax_rows(&self, data: &mut [f32], rows: usize, cols: usize) {
-        ScalarBackendDelegate.softmax_rows(data, rows, cols);
-    }
-
-    fn sgd_update(
-        &self,
-        params: &mut [f32],
-        grads: &[f32],
-        lr: f32,
-        scale: f32,
-        weight_decay: f32,
-        momentum: f32,
-        velocity: Option<&mut [f32]>,
-    ) {
-        ScalarBackendDelegate.sgd_update(
-            params,
-            grads,
-            lr,
-            scale,
-            weight_decay,
-            momentum,
-            velocity,
-        );
-    }
 }
-
-/// Local alias so delegation reads clearly (softmax and the SGD update are
-/// elementwise — there is nothing to block, and keeping the scalar
-/// expression order makes the optimized path easier to compare).
-use super::ScalarBackend as ScalarBackendDelegate;
 
 /// Interned instances, keyed by resolved thread count. Backends are tiny and
 /// the set of distinct thread counts per process is bounded, so leaking them
@@ -401,24 +331,6 @@ mod tests {
                 assert_close(&s_a, &b_a, 1e-5, "matmul_transa");
             }
         }
-    }
-
-    #[test]
-    fn blocked_matvec_and_reductions_match_scalar() {
-        let sc = ScalarBackend;
-        let bl = BlockedBackend::new(1);
-        let (m, n) = (13usize, 37usize);
-        let a = pseudo(5, m * n);
-        let x = pseudo(6, n);
-        let mut s_out = vec![0.0f32; m];
-        let mut b_out = vec![0.0f32; m];
-        sc.matvec(&a, &x, &mut s_out, m, n);
-        bl.matvec(&a, &x, &mut b_out, m, n);
-        assert_close(&s_out, &b_out, 1e-5, "matvec");
-        let y = pseudo(7, 1001);
-        let z = pseudo(8, 1001);
-        assert!((sc.dot(&y, &z) - bl.dot(&y, &z)).abs() < 1e-3);
-        assert!((sc.sum(&y) - bl.sum(&y)).abs() < 1e-3);
     }
 
     #[test]

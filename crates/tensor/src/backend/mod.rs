@@ -1,9 +1,9 @@
 //! Pluggable compute backends for the tensor hot path.
 //!
-//! Every dense kernel the training stack leans on — matmul variants,
-//! im2col/col2im convolution lowering, the direct depthwise convolution
-//! pair, the elementwise/reduction primitives and the SGD parameter update
-//! — is routed through the [`Backend`] trait. Two implementations ship:
+//! The dense kernels the layers dispatch — the three matmul variants,
+//! im2col/col2im convolution lowering and the direct depthwise convolution
+//! pair — are routed through the [`Backend`] trait. Two implementations
+//! ship:
 //!
 //! * [`ScalarBackend`] — the original hand-rolled loops. This is the
 //!   **deterministic CI oracle**: every run on it is bit-identical to the
@@ -12,8 +12,9 @@
 //!   output element keeps its exact sequence of f32 operations (the same
 //!   start value and the same term order).
 //! * `BlockedBackend` (behind the `backend-blocked` feature) — cache
-//!   blocked, autovectorization-friendly kernels with optional intra-op
-//!   threading. It reassociates floating-point reductions, so results are
+//!   blocked, autovectorization-friendly GEMMs with optional intra-op
+//!   threading; the lowering and the depthwise pair run the scalar loops.
+//!   Its GEMMs reassociate floating-point reductions, so results are
 //!   *statistically* equivalent (pinned by gradcheck and elementwise
 //!   tolerance tests) but not bit-identical to the scalar oracle.
 //!
@@ -37,9 +38,9 @@ pub use blocked::BlockedBackend;
 ///
 /// All methods operate on caller-validated, exactly-sized slices; the
 /// shape-checked entry points live on [`crate::Tensor`] and in
-/// [`crate::conv`]. Output-buffer contracts are per-method: kernels that
-/// *accumulate* require a zero-initialized output, kernels that overwrite
-/// state so.
+/// [`crate::im2col`]/[`crate::col2im`]. Output-buffer contracts are
+/// per-method: kernels that *accumulate* require a zero-initialized
+/// output, kernels that overwrite state so.
 ///
 /// Implementations must be deterministic: the same inputs (and the same
 /// configured thread count) must produce the same bits on every call.
@@ -61,11 +62,6 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
     ///
     /// `out` must be zero-initialized (the kernel accumulates).
     fn matmul_transa(&self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize);
-
-    /// `out = a · x` for row-major `a: (m×n)`, `x: (n)`, `out: (m)`.
-    ///
-    /// Overwrites `out` completely.
-    fn matvec(&self, a: &[f32], x: &[f32], out: &mut [f32], m: usize, n: usize);
 
     /// Lowers one `(C, H, W)` image (`image.len() == geom.input_volume()`)
     /// into its `(C·k·k, out_h·out_w)` column matrix.
@@ -119,46 +115,6 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
         grad_weight: &mut [f32],
         grad_bias: &mut [f32],
     );
-
-    /// `y += alpha · x` elementwise (`x.len() == y.len()`).
-    fn axpy(&self, alpha: f32, x: &[f32], y: &mut [f32]);
-
-    /// `x *= alpha` elementwise.
-    fn scale(&self, alpha: f32, x: &mut [f32]);
-
-    /// The inner product of two equal-length slices.
-    fn dot(&self, x: &[f32], y: &[f32]) -> f32;
-
-    /// The sum of all elements.
-    fn sum(&self, x: &[f32]) -> f32;
-
-    /// Numerically stable in-place softmax over each row of a row-major
-    /// `(rows × cols)` matrix.
-    fn softmax_rows(&self, data: &mut [f32], rows: usize, cols: usize);
-
-    /// One SGD parameter update over a flat parameter/gradient pair:
-    ///
-    /// ```text
-    /// eff = scale·g + weight_decay·p
-    /// if momentum > 0 { v = momentum·v + eff; eff = v }
-    /// p -= lr·eff
-    /// ```
-    ///
-    /// `velocity` must be `Some` iff `momentum > 0`, with the same length
-    /// as `params`.
-    // One flat argument per optimizer hyper-parameter keeps the trait
-    // object-safe without a config struct that every impl would unpack.
-    #[allow(clippy::too_many_arguments)]
-    fn sgd_update(
-        &self,
-        params: &mut [f32],
-        grads: &[f32],
-        lr: f32,
-        scale: f32,
-        weight_decay: f32,
-        momentum: f32,
-        velocity: Option<&mut [f32]>,
-    );
 }
 
 /// The interned scalar oracle.
@@ -166,7 +122,7 @@ static SCALAR: ScalarBackend = ScalarBackend;
 
 /// A `Copy` reference to an interned [`Backend`] instance.
 ///
-/// Handles are cheap to pass around and embed in layers/optimizers; they
+/// Handles are cheap to pass around and embed in layers; they
 /// deref to the backend's kernels. The default handle is the scalar
 /// oracle.
 #[derive(Clone, Copy)]

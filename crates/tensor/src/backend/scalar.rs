@@ -2,7 +2,7 @@
 //!
 //! Every kernel here preserves the exact floating-point expression order of
 //! the code it was lifted from (`ops.rs`, `conv.rs` and the NN crate's
-//! softmax/SGD/depthwise inner loops), so routing through this backend is
+//! depthwise inner loops), so routing through this backend is
 //! bit-identical to the pre-refactor engine — the property the checked-in
 //! run digests in `tests/backend_parity.rs` pin. The depthwise pair replaces
 //! a per-channel im2col lowering with direct loops, nested differently but
@@ -51,18 +51,6 @@ impl Backend for ScalarBackend {
         }
     }
 
-    fn matvec(&self, a: &[f32], x: &[f32], out: &mut [f32], m: usize, n: usize) {
-        let _ = m;
-        for (i, o) in out.iter_mut().enumerate() {
-            let row = &a[i * n..(i + 1) * n];
-            let mut acc = 0.0f64;
-            for (&r, &xv) in row.iter().zip(x.iter()) {
-                acc += r as f64 * xv as f64;
-            }
-            *o = acc as f32;
-        }
-    }
-
     fn im2col(&self, image: &[f32], geom: &Conv2dGeometry, out: &mut [f32]) {
         im2col_loops(image, geom, out);
     }
@@ -93,71 +81,6 @@ impl Backend for ScalarBackend {
         grad_bias: &mut [f32],
     ) {
         depthwise_backward_loops(padded, weight, grad_out, geom, grad_in, grad_weight, grad_bias);
-    }
-
-    fn axpy(&self, alpha: f32, x: &[f32], y: &mut [f32]) {
-        for (o, &v) in y.iter_mut().zip(x.iter()) {
-            *o += alpha * v;
-        }
-    }
-
-    fn scale(&self, alpha: f32, x: &mut [f32]) {
-        for v in x.iter_mut() {
-            *v *= alpha;
-        }
-    }
-
-    fn dot(&self, x: &[f32], y: &[f32]) -> f32 {
-        x.iter().zip(y.iter()).map(|(&a, &b)| (a as f64) * (b as f64)).sum::<f64>() as f32
-    }
-
-    fn sum(&self, x: &[f32]) -> f32 {
-        x.iter().sum()
-    }
-
-    fn softmax_rows(&self, data: &mut [f32], rows: usize, cols: usize) {
-        for i in 0..rows {
-            let row = &mut data[i * cols..(i + 1) * cols];
-            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let mut sum = 0.0f32;
-            for v in row.iter_mut() {
-                *v = (*v - max).exp();
-                sum += *v;
-            }
-            for v in row.iter_mut() {
-                *v /= sum;
-            }
-        }
-    }
-
-    fn sgd_update(
-        &self,
-        params: &mut [f32],
-        grads: &[f32],
-        lr: f32,
-        scale: f32,
-        weight_decay: f32,
-        momentum: f32,
-        velocity: Option<&mut [f32]>,
-    ) {
-        match velocity {
-            Some(vel) => {
-                for ((p, &g), v) in params.iter_mut().zip(grads.iter()).zip(vel.iter_mut()) {
-                    let mut eff = scale * g + weight_decay * *p;
-                    if momentum > 0.0 {
-                        *v = momentum * *v + eff;
-                        eff = *v;
-                    }
-                    *p -= lr * eff;
-                }
-            }
-            None => {
-                for (p, &g) in params.iter_mut().zip(grads.iter()) {
-                    let eff = scale * g + weight_decay * *p;
-                    *p -= lr * eff;
-                }
-            }
-        }
     }
 }
 
@@ -714,48 +637,6 @@ mod tests {
         B.matmul(&at, &b3, &mut slow_a, 2, 3, 2);
         for (f, s) in fast_a.iter().zip(slow_a.iter()) {
             assert!((f - s).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn elementwise_and_reductions() {
-        let x = [1.0, 2.0, 3.0];
-        let mut y = [1.0, 1.0, 1.0];
-        B.axpy(0.5, &x, &mut y);
-        assert_eq!(y, [1.5, 2.0, 2.5]);
-        B.scale(2.0, &mut y);
-        assert_eq!(y, [3.0, 4.0, 5.0]);
-        assert_eq!(B.dot(&x, &x), 14.0);
-        assert_eq!(B.sum(&x), 6.0);
-    }
-
-    #[test]
-    fn sgd_update_without_momentum() {
-        let mut p = [1.0f32, -2.0];
-        let g = [0.5f32, 0.5];
-        B.sgd_update(&mut p, &g, 0.1, 1.0, 0.0, 0.0, None);
-        assert_eq!(p, [0.95, -2.05]);
-    }
-
-    #[test]
-    fn sgd_update_with_momentum_accumulates() {
-        let mut p = [0.0f32];
-        let mut v = [0.0f32];
-        let g = [1.0f32];
-        B.sgd_update(&mut p, &g, 0.1, 1.0, 0.0, 0.9, Some(&mut v));
-        assert!((p[0] + 0.1).abs() < 1e-7);
-        B.sgd_update(&mut p, &g, 0.1, 1.0, 0.0, 0.9, Some(&mut v));
-        // Second step: v = 0.9·1 + 1 = 1.9 → p moves by 0.19 more.
-        assert!((p[0] + 0.29).abs() < 1e-6);
-    }
-
-    #[test]
-    fn softmax_rows_sum_to_one() {
-        let mut data = [1.0, 2.0, 3.0, -1.0, 0.0, 1.0];
-        B.softmax_rows(&mut data, 2, 3);
-        for r in 0..2 {
-            let s: f32 = data[r * 3..(r + 1) * 3].iter().sum();
-            assert!((s - 1.0).abs() < 1e-6);
         }
     }
 }

@@ -27,7 +27,6 @@ mod ops;
 pub mod pool;
 pub mod rng;
 mod shape;
-mod stats;
 mod tensor;
 
 pub use backend::{Backend, BackendHandle, BackendKind};

@@ -113,56 +113,6 @@ impl Tensor {
         Tensor::from_vec(out, &[m, n])
     }
 
-    /// Matrix–vector product of a rank-2 and a rank-1 tensor:
-    /// `(m×n) · (n) → (m)` on the default (scalar) backend.
-    ///
-    /// # Errors
-    ///
-    /// Returns rank/dimension errors on shape mismatch.
-    pub fn matvec(&self, v: &Tensor) -> Result<Tensor, TensorError> {
-        self.matvec_on(v, BackendHandle::scalar())
-    }
-
-    /// [`Tensor::matvec`] on an explicit backend.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Tensor::matvec`].
-    pub fn matvec_on(&self, v: &Tensor, backend: BackendHandle) -> Result<Tensor, TensorError> {
-        let (m, n) = self.matrix_dims()?;
-        if v.rank() != 1 {
-            return Err(TensorError::RankMismatch { expected: 1, got: v.rank() });
-        }
-        if v.len() != n {
-            return Err(TensorError::MatmulDimMismatch { left: (m, n), right: (v.len(), 1) });
-        }
-        let mut out = vec![0.0f32; m];
-        backend.matvec(self.as_slice(), v.as_slice(), &mut out, m, n);
-        Tensor::from_vec(out, &[m])
-    }
-
-    /// Outer product of two rank-1 tensors: `(m) ⊗ (n) → (m×n)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a rank error if either input is not rank 1.
-    pub fn outer(&self, other: &Tensor) -> Result<Tensor, TensorError> {
-        if self.rank() != 1 {
-            return Err(TensorError::RankMismatch { expected: 1, got: self.rank() });
-        }
-        if other.rank() != 1 {
-            return Err(TensorError::RankMismatch { expected: 1, got: other.rank() });
-        }
-        let (m, n) = (self.len(), other.len());
-        let mut out = vec![0.0f32; checked_out_len(m, n)?];
-        for (i, &a) in self.as_slice().iter().enumerate() {
-            for (j, &b) in other.as_slice().iter().enumerate() {
-                out[i * n + j] = a * b;
-            }
-        }
-        Tensor::from_vec(out, &[m, n])
-    }
-
     /// Returns the transpose of a rank-2 tensor.
     ///
     /// # Errors
@@ -356,9 +306,8 @@ mod tests {
         assert!(matches!(a.matmul_transb(&bt), Err(TensorError::Invalid(_))));
         let at = Tensor::zeros(&[0, huge]);
         assert!(matches!(at.matmul_transa(&b), Err(TensorError::Invalid(_))));
-        // `outer` of two `[huge]` vectors runs this same check on their
-        // lengths; building the vectors would take 32 GiB each, so the
-        // check is asserted directly.
+        // The check itself, on a product that overflows and on one that
+        // does not.
         assert!(matches!(checked_out_len(huge, huge), Err(TensorError::Invalid(_))));
         assert_eq!(checked_out_len(huge, 0).unwrap(), 0);
     }
@@ -374,8 +323,6 @@ mod tests {
         assert_eq!(a.matmul_transb_on(&bt, h).unwrap(), a.matmul_transb(&bt).unwrap());
         let at = mat(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], 3, 2);
         assert_eq!(at.matmul_transa_on(&b, h).unwrap(), at.matmul_transa(&b).unwrap());
-        let v = Tensor::from_slice(&[1.0, 0.5, -1.0]);
-        assert_eq!(a.matvec_on(&v, h).unwrap(), a.matvec(&v).unwrap());
     }
 
     #[test]
@@ -394,28 +341,6 @@ mod tests {
         let fast = a.matmul_transa(&b).unwrap();
         let slow = a.transposed().unwrap().matmul(&b).unwrap();
         assert_eq!(fast, slow);
-    }
-
-    #[test]
-    fn matvec_matches_matmul() {
-        let a = mat(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], 2, 3);
-        let v = Tensor::from_slice(&[1.0, 0.5, -1.0]);
-        let fast = a.matvec(&v).unwrap();
-        let slow = a.matmul(&v.reshape(&[3, 1]).unwrap()).unwrap();
-        assert_eq!(fast.as_slice(), slow.as_slice());
-        assert!(a.matvec(&Tensor::zeros(&[2])).is_err());
-        assert!(a.matvec(&Tensor::zeros(&[3, 1])).is_err());
-    }
-
-    #[test]
-    fn outer_product() {
-        let a = Tensor::from_slice(&[1.0, 2.0]);
-        let b = Tensor::from_slice(&[3.0, 4.0, 5.0]);
-        let o = a.outer(&b).unwrap();
-        assert_eq!(o.dims(), &[2, 3]);
-        assert_eq!(o.as_slice(), &[3.0, 4.0, 5.0, 6.0, 8.0, 10.0]);
-        assert!(Tensor::zeros(&[2, 2]).outer(&b).is_err());
-        assert!(a.outer(&Tensor::zeros(&[2, 2])).is_err());
     }
 
     #[test]

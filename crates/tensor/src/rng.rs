@@ -2,9 +2,9 @@
 //!
 //! Every experiment in this workspace is driven by a single `u64` seed. That
 //! seed is fanned out to per-entity seeds (one per client, per server, per
-//! attack, per round) with [`SeedStream`], a SplitMix64-based splitter, so
-//! that runs are bit-reproducible regardless of iteration order or thread
-//! scheduling.
+//! attack, per round) with [`derive_seed`], a SplitMix64-based splitter
+//! keyed by a label path, so that runs are bit-reproducible regardless of
+//! iteration order or thread scheduling.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -48,40 +48,6 @@ pub fn rng_for(parent: u64, label: &[u64]) -> StdRng {
     StdRng::seed_from_u64(derive_seed(parent, label))
 }
 
-/// An ordered stream of independent child seeds drawn from one parent.
-///
-/// # Example
-///
-/// ```
-/// use fedms_tensor::rng::SeedStream;
-///
-/// let mut s = SeedStream::new(7);
-/// let first = s.next_seed();
-/// let second = s.next_seed();
-/// assert_ne!(first, second);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SeedStream {
-    state: u64,
-}
-
-impl SeedStream {
-    /// Creates a stream rooted at `parent`.
-    pub fn new(parent: u64) -> Self {
-        SeedStream { state: parent ^ 0xA5A5_5A5A_DEAD_BEEF }
-    }
-
-    /// Returns the next child seed.
-    pub fn next_seed(&mut self) -> u64 {
-        splitmix64(&mut self.state)
-    }
-
-    /// Returns the next child as a ready-to-use [`StdRng`].
-    pub fn next_rng(&mut self) -> StdRng {
-        StdRng::seed_from_u64(self.next_seed())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,18 +79,6 @@ mod tests {
     #[test]
     fn derive_seed_prefix_is_not_extension() {
         assert_ne!(derive_seed(9, &[1]), derive_seed(9, &[1, 0]));
-    }
-
-    #[test]
-    fn seed_stream_unique_and_reproducible() {
-        let mut s1 = SeedStream::new(99);
-        let mut s2 = SeedStream::new(99);
-        let mut seen = HashSet::new();
-        for _ in 0..1000 {
-            let v = s1.next_seed();
-            assert_eq!(v, s2.next_seed());
-            assert!(seen.insert(v));
-        }
     }
 
     #[test]

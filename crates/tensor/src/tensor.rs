@@ -323,13 +323,6 @@ impl Tensor {
         Tensor { shape: self.shape.clone(), data: self.data.iter().map(|&a| f(a)).collect() }
     }
 
-    /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for a in &mut self.data {
-            *a = f(*a);
-        }
-    }
-
     /// Combines two same-shape tensors elementwise with `f`.
     ///
     /// Shape agreement is the caller's responsibility; all public callers in
@@ -484,8 +477,6 @@ mod tests {
         assert_eq!(a.as_slice(), &[16.0, 32.0]);
         a.scale(0.5);
         assert_eq!(a.as_slice(), &[8.0, 16.0]);
-        a.map_inplace(|v| v - 8.0);
-        assert_eq!(a.as_slice(), &[0.0, 8.0]);
     }
 
     #[test]

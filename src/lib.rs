@@ -66,11 +66,11 @@ pub use fedms_attacks::{
 };
 pub use fedms_core::{theory, CoreError, FedMsConfig, FilterKind, TransportKind};
 pub use fedms_data::{
-    augment_dataset, Augmentation, BatchSampler, Dataset, DirichletPartitioner, LabelHistogram,
-    SynthSensorConfig, SynthVision, SynthVisionConfig,
+    BatchSampler, Dataset, DirichletPartitioner, LabelHistogram, SynthVision, SynthVisionConfig,
 };
-pub use fedms_nn::{AvgPool2d, BatchNorm2d, Dropout, MaxPool2d, Sequential, Sigmoid, Tanh};
-pub use fedms_nn::{Layer, LrSchedule, Mlp, MobileNetNano, MobileNetNanoConfig, NeuralNet, Sgd};
+pub use fedms_nn::{
+    Layer, LrSchedule, Mlp, MobileNetNano, MobileNetNanoConfig, NeuralNet, Sequential, Sgd,
+};
 pub use fedms_sim::{
     CommStats, DegradedMode, EngineConfig, EventLog, FaultClass, FaultPlan, FaultSpec,
     LocalTransport, ModelSpec, NetModel, NetStats, NetThreat, NetTransport, RecoveryPolicy,

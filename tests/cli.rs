@@ -152,6 +152,33 @@ fn run_rejects_a_config_key_that_names_no_field() {
 }
 
 #[test]
+fn run_rejects_an_inverse_decay_schedule_that_turns_negative() {
+    // η_0 = −1/−10 = 0.1 is a fine first rate, but γ + t reaches zero at
+    // step 10 and every later rate is negative: the run must refuse the
+    // schedule and name the field instead of training on it.
+    let cfg_path = temp_path("decay.json");
+    let out =
+        fedms().args(["init-config", cfg_path.to_str().unwrap()]).output().expect("binary runs");
+    assert!(out.status.success());
+    let body = std::fs::read_to_string(&cfg_path).unwrap();
+    let mut cfg: serde_json::Value = serde_json::from_str(&body).unwrap();
+    cfg["clients"] = 10.into();
+    cfg["servers"] = 4.into();
+    cfg["byzantine_count"] = 0.into();
+    cfg["rounds"] = 6.into();
+    cfg["dataset"]["train_per_class"] = 5.into();
+    cfg["dataset"]["test_per_class"] = 2.into();
+    cfg["model"] = serde_json::json!({"Mlp": {"widths": [192, 8, 10]}});
+    cfg["schedule"] = serde_json::json!({"InverseDecay": {"phi": -1.0, "gamma": -10.0}});
+    std::fs::write(&cfg_path, serde_json::to_string(&cfg).unwrap()).unwrap();
+    let out = fedms().args(["run", cfg_path.to_str().unwrap()]).output().expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("InverseDecay phi"), "{stderr}");
+    let _ = std::fs::remove_file(cfg_path);
+}
+
+#[test]
 fn unknown_flag_rejected() {
     let out = fedms().args(["run", "--bogus"]).output().expect("binary runs");
     assert!(!out.status.success());
