@@ -13,7 +13,7 @@
 //! described in [`fedms_bench::perf`] ([`FILTERBENCH`]).
 
 use fedms_aggregation::{kernel, reference};
-use fedms_bench::perf::{self, pseudo_values, Agreement, Pair, Workload, FILTERBENCH};
+use fedms_bench::perf::{self, pseudo_values, Pair, Workload, FILTERBENCH};
 use std::process::ExitCode;
 
 /// Paper-scale federation shape for the filter (Table II).
@@ -71,7 +71,6 @@ fn main() -> ExitCode {
             harness,
             &mut FilterWorkload::new("trimmed_mean/kernel", kernel::trimmed_mean),
             &mut FilterWorkload::new("trimmed_mean/reference", reference::trimmed_mean),
-            Agreement::Exact,
         )?;
         Ok(vec![("trimmed_mean", pair)])
     })

@@ -162,27 +162,6 @@ impl Harness {
     }
 }
 
-/// How closely the two checksums of a [`Pair`] must agree.
-#[derive(Debug, Clone, Copy)]
-pub enum Agreement {
-    /// `to_bits`-equal: the fast side computes the reference's exact bits.
-    Exact,
-    /// `|fast − reference| ≤ tol · (1 + max(|fast|, |reference|))`: the fast
-    /// side reassociates f32 sums, so only closeness is expected.
-    Relative(f64),
-}
-
-impl Agreement {
-    fn holds(self, fast: f64, reference: f64) -> bool {
-        match self {
-            Agreement::Exact => fast.to_bits() == reference.to_bits(),
-            Agreement::Relative(tol) => {
-                (fast - reference).abs() <= tol * (1.0 + fast.abs().max(reference.abs()))
-            }
-        }
-    }
-}
-
 /// A fast implementation measured against its reference.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Pair {
@@ -196,23 +175,22 @@ pub struct Pair {
 
 impl Pair {
     /// Measures `fast`, then `reference`, and pairs them once their
-    /// checksums agree.
+    /// checksums agree bit for bit: every fast side computes its
+    /// reference's exact bits.
     ///
     /// # Errors
     ///
-    /// Names both workloads and checksums when they disagree beyond
-    /// `agreement`.
+    /// Names both workloads and checksums when they differ.
     pub fn measure(
         harness: &Harness,
         fast: &mut dyn Workload,
         reference: &mut dyn Workload,
-        agreement: Agreement,
     ) -> Result<Self, String> {
         let fast = harness.measure(fast);
         let reference = harness.measure(reference);
-        if !agreement.holds(fast.checksum, reference.checksum) {
+        if fast.checksum.to_bits() != reference.checksum.to_bits() {
             return Err(format!(
-                "{} checksum {} disagrees with {} checksum {} ({agreement:?})",
+                "{} checksum {} disagrees with {} checksum {}",
                 fast.name, fast.checksum, reference.name, reference.checksum
             ));
         }
@@ -286,8 +264,9 @@ pub const FILTERBENCH: Bench = Bench {
     min_speedup: 8.0,
 };
 
-/// `nnbench`: the blocked backend's GEMM against the scalar one. The floor
-/// is the 4× acceptance floor minus a CI noise margin.
+/// `nnbench`: the scalar backend's packed `matmul_transb` against the
+/// dot-product loop it replaced. The floor sits well under the 8–9× the
+/// kernel measures on a native build.
 pub const NNBENCH: Bench =
     Bench { bin: "nnbench", default_out: "BENCH_nn.json", gated: "gemm", min_speedup: 3.0 };
 
@@ -576,29 +555,22 @@ mod tests {
     #[test]
     fn checksum_disagreement_fails_the_run() {
         let once = Harness { warmup_iters: 0, samples: 1, iters_per_sample: 1 };
-        let pair = |fast: f64, reference: f64, agreement| {
+        let pair = |fast: f64, reference: f64| {
             Pair::measure(
                 &once,
                 &mut Fixed { name: "x/fast", checksum: fast },
                 &mut Fixed { name: "x/reference", checksum: reference },
-                agreement,
             )
         };
         let one_ulp_up = f64::from_bits(1.0f64.to_bits() + 1);
-        pair(1.0, 1.0, Agreement::Exact).unwrap();
-        let err = pair(one_ulp_up, 1.0, Agreement::Exact).unwrap_err();
+        pair(1.0, 1.0).unwrap();
+        let err = pair(one_ulp_up, 1.0).unwrap_err();
         assert!(err.contains("x/fast checksum") && err.contains("x/reference checksum"), "{err}");
-        // Relative: |Δ| ≤ tol · (1 + max) with 1e-3 · (1 + 2) = 3e-3 here.
-        pair(2.0029, 2.0, Agreement::Relative(1e-3)).unwrap();
-        pair(2.0031, 2.0, Agreement::Relative(1e-3)).unwrap_err();
-        pair(f64::NAN, 2.0, Agreement::Relative(1e-3)).unwrap_err();
 
         let out = std::env::temp_dir().join(format!("fedms-perf-{}.json", std::process::id()));
         let args = ["--quick", "--out", out.to_str().unwrap()].map(String::from).into_iter();
-        let err = execute(&FILTERBENCH, "x", args, |_| {
-            Ok(vec![("x", pair(2.0, 1.0, Agreement::Exact)?)])
-        })
-        .unwrap_err();
+        let err =
+            execute(&FILTERBENCH, "x", args, |_| Ok(vec![("x", pair(2.0, 1.0)?)])).unwrap_err();
         assert!(err.starts_with("CHECKSUM MISMATCH: x/fast checksum 2"), "{err}");
         assert!(!out.exists(), "a failed cross-check writes no report");
     }

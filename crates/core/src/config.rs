@@ -138,10 +138,8 @@ pub struct FedMsConfig {
     #[serde(default)]
     pub estimator: EstimatorPolicy,
     /// Compute backend for client training kernels
-    /// ([`fedms_tensor::BackendKind`]). `Scalar` (the default) is the
-    /// deterministic CI oracle; `Blocked` selects the cache-blocked
-    /// vectorized kernels and requires a build with the `backend-blocked`
-    /// feature.
+    /// ([`fedms_tensor::BackendKind`]): `Scalar`, the bit-exact oracle and
+    /// the only backend (spec key and `--backend` flag `backend`).
     #[serde(default)]
     pub backend: BackendKind,
 }

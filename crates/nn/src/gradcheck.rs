@@ -80,8 +80,8 @@ pub fn check_layer(
 }
 
 /// Borrowing form of [`check_layer`]: verifies the layer in place, leaving
-/// every parameter at its original value afterwards. Useful for checking
-/// the same layer repeatedly under different compute backends.
+/// every parameter at its original value afterwards, so the same layer can
+/// be checked repeatedly.
 ///
 /// # Errors
 ///

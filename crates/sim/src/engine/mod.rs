@@ -209,7 +209,7 @@ impl SimulationEngine {
             train_set,
             partitions,
             initial_model.clone(),
-            config.resolve_backend()?,
+            config.backend.resolve(),
         )?;
 
         let mut attack_map: std::collections::BTreeMap<usize, Box<dyn ServerAttack>> =

@@ -1,38 +1,23 @@
-//! Pluggable compute backends for the tensor hot path.
+//! The compute backend behind the tensor hot path.
 //!
 //! The dense kernels the layers dispatch — the three matmul variants,
 //! im2col/col2im convolution lowering and the direct depthwise convolution
-//! pair — are routed through the [`Backend`] trait. Two implementations
-//! ship:
-//!
-//! * [`ScalarBackend`] — the original hand-rolled loops. This is the
-//!   **deterministic CI oracle**: every run on it is bit-identical to the
-//!   code that predates the backend abstraction, and it stays the default
-//!   everywhere. A scalar kernel may change its loop nesting only if every
-//!   output element keeps its exact sequence of f32 operations (the same
-//!   start value and the same term order).
-//! * `BlockedBackend` (behind the `backend-blocked` feature) — cache
-//!   blocked, autovectorization-friendly GEMMs with optional intra-op
-//!   threading; the lowering and the depthwise pair run the scalar loops.
-//!   Its GEMMs reassociate floating-point reductions, so results are
-//!   *statistically* equivalent (pinned by gradcheck and elementwise
-//!   tolerance tests) but not bit-identical to the scalar oracle.
+//! pair — are routed through the [`Backend`] trait. One implementation
+//! ships: [`ScalarBackend`], the **deterministic oracle**. Every run on it
+//! is bit-identical to the code that predates the backend abstraction. A
+//! scalar kernel may change its loop nesting only if every output element
+//! keeps its exact sequence of f32 operations (the same start value and the
+//! same term order).
 //!
 //! Consumers hold a [`BackendHandle`] — a `Copy` reference to an interned
 //! backend instance — and configs carry a serializable [`BackendKind`]
-//! resolved once at engine construction. The determinism contract and the
-//! threading composition rules are documented in DESIGN.md §14.
+//! resolved once at engine construction. The exactness contract is
+//! documented in DESIGN.md §14.
 
 use crate::conv::Conv2dGeometry;
-use crate::TensorError;
 
 mod scalar;
 pub use scalar::ScalarBackend;
-
-#[cfg(feature = "backend-blocked")]
-mod blocked;
-#[cfg(feature = "backend-blocked")]
-pub use blocked::BlockedBackend;
 
 /// Slice-level compute kernels behind every tensor/NN hot path.
 ///
@@ -42,10 +27,10 @@ pub use blocked::BlockedBackend;
 /// per-method: kernels that *accumulate* require a zero-initialized
 /// output, kernels that overwrite state so.
 ///
-/// Implementations must be deterministic: the same inputs (and the same
-/// configured thread count) must produce the same bits on every call.
+/// Implementations must be deterministic: the same inputs must produce the
+/// same bits on every call.
 pub trait Backend: Send + Sync + std::fmt::Debug {
-    /// A short stable identifier (`"scalar"`, `"blocked"`).
+    /// A short stable identifier (`"scalar"`).
     fn name(&self) -> &'static str;
 
     /// `out += a · b` for row-major `a: (m×k)`, `b: (k×n)`, `out: (m×n)`.
@@ -133,11 +118,6 @@ impl BackendHandle {
     pub fn scalar() -> Self {
         BackendHandle(&SCALAR)
     }
-
-    /// Wraps a leaked/static backend instance.
-    pub fn from_static(backend: &'static (dyn Backend + 'static)) -> Self {
-        BackendHandle(backend)
-    }
 }
 
 impl Default for BackendHandle {
@@ -165,17 +145,13 @@ impl std::fmt::Debug for BackendHandle {
     Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize, Hash,
 )]
 pub enum BackendKind {
-    /// The deterministic scalar oracle (the default).
+    /// The deterministic scalar oracle (the default and the only backend).
     #[default]
     Scalar,
-    /// The cache-blocked, vectorization-friendly CPU backend. Requires the
-    /// `backend-blocked` feature; resolving it without the feature is a
-    /// configuration error, never a silent fallback.
-    Blocked,
 }
 
 impl BackendKind {
-    /// Parses a CLI/spec token (`"scalar"` or `"blocked"`).
+    /// Parses a CLI/spec token (`"scalar"`).
     ///
     /// # Errors
     ///
@@ -183,8 +159,7 @@ impl BackendKind {
     pub fn parse(s: &str) -> Result<Self, String> {
         match s {
             "scalar" => Ok(BackendKind::Scalar),
-            "blocked" => Ok(BackendKind::Blocked),
-            other => Err(format!("unknown backend `{other}` (expected scalar or blocked)")),
+            other => Err(format!("unknown backend `{other}` (expected scalar)")),
         }
     }
 
@@ -192,42 +167,13 @@ impl BackendKind {
     pub fn as_str(&self) -> &'static str {
         match self {
             BackendKind::Scalar => "scalar",
-            BackendKind::Blocked => "blocked",
         }
     }
 
-    /// Whether this kind can be resolved in the current build.
-    pub fn is_available(&self) -> bool {
+    /// Resolves the kind to its interned backend instance.
+    pub fn resolve(&self) -> BackendHandle {
         match self {
-            BackendKind::Scalar => true,
-            BackendKind::Blocked => cfg!(feature = "backend-blocked"),
-        }
-    }
-
-    /// Resolves the kind to an interned backend instance.
-    ///
-    /// `intra_threads` is the intra-op worker count granted by the caller
-    /// (the engine owns the thread budget): `0` picks one worker per
-    /// available core, `1` disables intra-op threading. The scalar oracle
-    /// ignores it — it is single-threaded by definition.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::Invalid`] when the kind is not compiled in
-    /// (`Blocked` without the `backend-blocked` feature).
-    pub fn resolve(&self, intra_threads: usize) -> Result<BackendHandle, TensorError> {
-        match self {
-            BackendKind::Scalar => {
-                let _ = intra_threads;
-                Ok(BackendHandle::scalar())
-            }
-            #[cfg(feature = "backend-blocked")]
-            BackendKind::Blocked => Ok(blocked::handle(intra_threads)),
-            #[cfg(not(feature = "backend-blocked"))]
-            BackendKind::Blocked => Err(TensorError::Invalid(
-                "backend `blocked` is not compiled in; rebuild with --features backend-blocked"
-                    .into(),
-            )),
+            BackendKind::Scalar => BackendHandle::scalar(),
         }
     }
 }
@@ -253,41 +199,26 @@ mod tests {
     #[test]
     fn kind_parses_and_round_trips() {
         assert_eq!(BackendKind::parse("scalar").unwrap(), BackendKind::Scalar);
-        assert_eq!(BackendKind::parse("blocked").unwrap(), BackendKind::Blocked);
         assert!(BackendKind::parse("gpu").is_err());
         assert_eq!(BackendKind::Scalar.to_string(), "scalar");
-        assert_eq!(BackendKind::Blocked.as_str(), "blocked");
+        assert_eq!(BackendKind::Scalar.as_str(), "scalar");
         assert_eq!(BackendKind::default(), BackendKind::Scalar);
-        let json = serde_json::to_string(&BackendKind::Blocked).unwrap();
+        let json = serde_json::to_string(&BackendKind::Scalar).unwrap();
         let back: BackendKind = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, BackendKind::Blocked);
+        assert_eq!(back, BackendKind::Scalar);
     }
 
     #[test]
     fn scalar_always_resolves() {
-        assert!(BackendKind::Scalar.is_available());
-        assert_eq!(BackendKind::Scalar.resolve(0).unwrap().name(), "scalar");
-        assert_eq!(BackendKind::Scalar.resolve(8).unwrap().name(), "scalar");
+        assert_eq!(BackendKind::Scalar.resolve().name(), "scalar");
     }
 
-    #[cfg(not(feature = "backend-blocked"))]
     #[test]
-    fn blocked_errors_without_feature() {
-        assert!(!BackendKind::Blocked.is_available());
-        let err = BackendKind::Blocked.resolve(1).unwrap_err();
-        assert!(matches!(err, TensorError::Invalid(_)));
-        assert!(err.to_string().contains("backend-blocked"), "{err}");
-    }
-
-    #[cfg(feature = "backend-blocked")]
-    #[test]
-    fn blocked_resolves_with_feature() {
-        assert!(BackendKind::Blocked.is_available());
-        assert_eq!(BackendKind::Blocked.resolve(1).unwrap().name(), "blocked");
-        // Interning: the same thread count yields the same instance.
-        let a = BackendKind::Blocked.resolve(2).unwrap();
-        let b = BackendKind::Blocked.resolve(2).unwrap();
-        assert!(std::ptr::eq(a.0, b.0));
+    fn blocked_is_an_unknown_backend() {
+        // The blocked backend is gone: its token parses as any unknown one.
+        let err = BackendKind::parse("blocked").unwrap_err();
+        assert_eq!(err, "unknown backend `blocked` (expected scalar)");
+        assert!(serde_json::from_str::<BackendKind>("\"Blocked\"").is_err());
     }
 
     #[test]

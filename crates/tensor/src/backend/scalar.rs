@@ -8,7 +8,8 @@
 //! a per-channel im2col lowering with direct loops, nested differently but
 //! giving every output element the same start value and term order;
 //! `matmul`/`matmul_transa` keep blocks of one output row in registers
-//! across the whole reduction under the same rule, and the depthwise pair
+//! across the whole reduction under the same rule, `matmul_transb` does so
+//! for tiles of four rows over a packed copy of Bᵀ, and the depthwise pair
 //! computes blocks of one row's outputs (or input gradients) side by side.
 
 use crate::conv::Conv2dGeometry;
@@ -32,16 +33,24 @@ impl Backend for ScalarBackend {
     }
 
     fn matmul_transb(&self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-        for i in 0..m {
-            let arow = &a[i * k..(i + 1) * k];
-            for j in 0..n {
-                let brow = &b[j * k..(j + 1) * k];
-                let mut acc = 0.0f32;
-                for (&x, &y) in arow.iter().zip(brow.iter()) {
-                    acc += x * y;
-                }
-                out[i * n + j] = acc;
+        if m == 0 || n == 0 {
+            return;
+        }
+        // Bᵀ packed once, `k×n`: row `kk` holds every `b[j][kk]`, so a tile
+        // reads its columns' terms of step `kk` side by side.
+        let mut bt = vec![0.0f32; k * n];
+        for (kk, row) in bt.chunks_exact_mut(n).enumerate() {
+            for (d, brow) in row.iter_mut().zip(b.chunks_exact(k)) {
+                *d = brow[kk];
             }
+        }
+        let mut i = 0;
+        while i + 4 <= m {
+            transb_rows::<4>(&a[i * k..], &bt, &mut out[i * n..], k, n);
+            i += 4;
+        }
+        for i in i..m {
+            transb_rows::<1>(&a[i * k..], &bt, &mut out[i * n..], k, n);
         }
     }
 
@@ -145,14 +154,65 @@ fn gemm_block<const W: usize>(
     dst.copy_from_slice(&acc);
 }
 
-/// The im2col loop nest, shared by the scalar and blocked backends (the
-/// lowering is pure data movement — no floating-point arithmetic to
-/// reassociate).
+/// `R` output rows of the scalar `matmul_transb`: `out[r][j] = Σ_kk
+/// a[r][kk] · bt[kk][j]` for the rows of `a` (each `k` long) that start it
+/// and the packed `bt` (`k` rows of `n`).
+///
+/// Every element starts at `+0.0` and adds all `k` products in `kk` order,
+/// none skipped: one dot product's operation sequence, which the exactness
+/// contract fixes. Tiles of 16, 8, 4 and then 1 columns keep their `R·W`
+/// sums in registers across the whole `kk` loop.
+fn transb_rows<const R: usize>(a: &[f32], bt: &[f32], out: &mut [f32], k: usize, n: usize) {
+    let mut j = 0;
+    while j + 16 <= n {
+        transb_tile::<R, 16>(a, bt, out, k, n, j);
+        j += 16;
+    }
+    if j + 8 <= n {
+        transb_tile::<R, 8>(a, bt, out, k, n, j);
+        j += 8;
+    }
+    if j + 4 <= n {
+        transb_tile::<R, 4>(a, bt, out, k, n, j);
+        j += 4;
+    }
+    for j in j..n {
+        transb_tile::<R, 1>(a, bt, out, k, n, j);
+    }
+}
+
+/// The `W` columns of [`transb_rows`] starting at `j0`.
+#[inline(always)]
+fn transb_tile<const R: usize, const W: usize>(
+    a: &[f32],
+    bt: &[f32],
+    out: &mut [f32],
+    k: usize,
+    n: usize,
+    j0: usize,
+) {
+    let arows: [&[f32]; R] = std::array::from_fn(|r| &a[r * k..(r + 1) * k]);
+    let mut acc = [[0.0f32; W]; R];
+    for (kk, brow) in bt.chunks_exact(n).enumerate() {
+        let brow = &brow[j0..j0 + W];
+        for (acc, arow) in acc.iter_mut().zip(&arows) {
+            let x = arow[kk];
+            for (s, &y) in acc.iter_mut().zip(brow) {
+                *s += x * y;
+            }
+        }
+    }
+    for (r, acc) in acc.iter().enumerate() {
+        out[r * n + j0..][..W].copy_from_slice(acc);
+    }
+}
+
+/// The im2col loop nest (pure data movement: no floating-point arithmetic).
 ///
 /// It reads a zero-padded copy of the image, so each output row of a tap
 /// is one run of `out_w` reads (strided at stride > 1), and the padded taps
 /// are copied as the `0.0` of the border without a bounds test.
-pub(crate) fn im2col_loops(src: &[f32], geom: &Conv2dGeometry, out: &mut [f32]) {
+fn im2col_loops(src: &[f32], geom: &Conv2dGeometry, out: &mut [f32]) {
     let (k, s, ow) = (geom.kernel, geom.stride, geom.out_w);
     let pw = geom.padded_w();
     let mut padded = vec![0.0f32; geom.padded_volume()];
@@ -180,9 +240,8 @@ pub(crate) fn im2col_loops(src: &[f32], geom: &Conv2dGeometry, out: &mut [f32]) 
     }
 }
 
-/// The col2im loop nest (adjoint of [`im2col_loops`]), shared by both CPU
-/// backends; per-position accumulation order is identical in each.
-pub(crate) fn col2im_loops(src: &[f32], geom: &Conv2dGeometry, out: &mut [f32]) {
+/// The col2im loop nest (adjoint of [`im2col_loops`]).
+fn col2im_loops(src: &[f32], geom: &Conv2dGeometry, out: &mut [f32]) {
     let (k, s, p) = (geom.kernel, geom.stride, geom.padding);
     let ncols = geom.col_cols();
     for c in 0..geom.in_channels {
@@ -209,11 +268,11 @@ pub(crate) fn col2im_loops(src: &[f32], geom: &Conv2dGeometry, out: &mut [f32]) 
     }
 }
 
-/// The depthwise forward loop nest, shared by the scalar and blocked
-/// backends. Per output element: the channel's bias, then `+= w·x` for each
-/// tap in `(ky, kx)` order, reading padded taps as the `0.0` of the padded
-/// image — the sequence the per-channel im2col lowering produced.
-pub(crate) fn depthwise_forward_loops(
+/// The depthwise forward loop nest. Per output element: the channel's bias,
+/// then `+= w·x` for each tap in `(ky, kx)` order, reading padded taps as
+/// the `0.0` of the padded image — the sequence the per-channel im2col
+/// lowering produced.
+fn depthwise_forward_loops(
     padded: &[f32],
     weight: &[f32],
     bias: &[f32],
@@ -312,8 +371,8 @@ fn forward_lanes<const K: usize, const S: usize, const L: usize>(
     dst.copy_from_slice(&acc);
 }
 
-/// The depthwise backward loop nest, shared by the scalar and blocked
-/// backends, in the operation order of the per-channel im2col lowering:
+/// The depthwise backward loop nest, in the operation order of the
+/// per-channel im2col lowering:
 ///
 /// * `dW[c, t]` gains one partial sum per sample, accumulated from `0.0`
 ///   over the output positions in order (padded taps as `dy·0.0`);
@@ -325,7 +384,7 @@ fn forward_lanes<const K: usize, const S: usize, const L: usize>(
 /// [`GradInRows`]) rather than scattered tap by tap; each element gets the
 /// same terms in the same order.
 #[allow(clippy::too_many_arguments)] // mirrors `Backend::depthwise_backward`
-pub(crate) fn depthwise_backward_loops(
+fn depthwise_backward_loops(
     padded: &[f32],
     weight: &[f32],
     grad_out: &[f32],

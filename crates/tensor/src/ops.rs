@@ -51,8 +51,11 @@ impl Tensor {
     /// `self · otherᵀ` for rank-2 tensors: `(m×k) · (n×k)ᵀ → (m×n)` on the
     /// default (scalar) backend.
     ///
-    /// Equivalent to `self.matmul(&other.transposed()?)` but avoids
-    /// materialising the transpose; used on backward passes.
+    /// Equals `self.matmul(&other.transposed()?)` for finite inputs
+    /// without materialising the transpose; every `Linear` forward and
+    /// conv weight gradient runs on it. Each element sums all `k` products
+    /// from `+0.0`, whereas `matmul` skips the terms whose left factor is
+    /// `±0.0`, so a zero times `±inf` or NaN is NaN here and absent there.
     ///
     /// # Errors
     ///

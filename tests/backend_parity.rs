@@ -1,18 +1,13 @@
 //! Backend-parity suite.
 //!
-//! Two guarantees are pinned here:
-//!
-//! 1. **Bit-exactness of the default path.** The `ScalarBackend` is the
-//!    code that predates the backend abstraction, moved verbatim; a full
-//!    engine run must stay byte-identical to the pre-refactor engine. The
-//!    digests below were recorded from the engine *before* the backend
-//!    subsystem was introduced, so any arithmetic drift in the default
-//!    path — reordered reductions, changed scratch-buffer contents,
-//!    different iteration order — fails these tests.
-//! 2. **Statistical parity of the optimized path.** `BlockedBackend`
-//!    reassociates reductions (blocked/multi-accumulator kernels), so it
-//!    is *not* bit-identical; it must instead track the scalar accuracy
-//!    trajectory within a stated tolerance on the same federation.
+//! Bit-exactness of the default path: the `ScalarBackend` is the code that
+//! predates the backend abstraction, changed since only in loop nests that
+//! keep every output element's f32 operation sequence, so a full engine run
+//! must stay byte-identical to the pre-refactor engine. The digests below
+//! were recorded from the engine *before* the backend subsystem was
+//! introduced, so any arithmetic drift in the default path — reordered
+//! reductions, changed scratch-buffer contents, different iteration order —
+//! fails these tests.
 
 use fedms::core::fnv1a64;
 use fedms::{FedMsConfig, ModelSpec};
@@ -74,47 +69,4 @@ fn scalar_backend_conv_run_is_byte_identical_to_pre_refactor() {
         NANO_DIGEST,
         "default (scalar) conv trajectory drifted from the pre-backend engine"
     );
-}
-
-/// Full-engine statistical parity: the blocked backend must track the
-/// scalar accuracy/loss trajectory on the same federation. Its kernels
-/// reassociate f32 reductions, so runs are not bit-identical — but over a
-/// short run the drift stays far below the accuracy scale.
-#[cfg(feature = "backend-blocked")]
-mod blocked {
-    use super::{mlp_cfg, nano_cfg};
-    use fedms::{BackendKind, FedMsConfig};
-
-    fn trajectories(cfg: &FedMsConfig) -> (Vec<f32>, Vec<f32>) {
-        let scalar = cfg.run().expect("scalar run");
-        let mut blocked_cfg = cfg.clone();
-        blocked_cfg.backend = BackendKind::Blocked;
-        let blocked = blocked_cfg.run().expect("blocked run");
-        let acc = |r: &fedms::RunResult| -> Vec<f32> {
-            r.rounds.iter().map(|m| m.mean_accuracy).collect()
-        };
-        (acc(&scalar), acc(&blocked))
-    }
-
-    fn assert_tracks(cfg: &FedMsConfig, tol: f32) {
-        let (scalar, blocked) = trajectories(cfg);
-        assert_eq!(scalar.len(), blocked.len(), "evaluation cadence must agree");
-        assert!(!scalar.is_empty(), "run must evaluate at least once");
-        for (round, (s, b)) in scalar.iter().zip(blocked.iter()).enumerate() {
-            assert!(
-                (s - b).abs() <= tol,
-                "accuracy diverged at eval {round}: scalar {s}, blocked {b}"
-            );
-        }
-    }
-
-    #[test]
-    fn blocked_backend_tracks_scalar_mlp_accuracy() {
-        assert_tracks(&mlp_cfg(), 0.1);
-    }
-
-    #[test]
-    fn blocked_backend_tracks_scalar_conv_accuracy() {
-        assert_tracks(&nano_cfg(), 0.1);
-    }
 }

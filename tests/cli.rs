@@ -179,6 +179,22 @@ fn run_rejects_an_inverse_decay_schedule_that_turns_negative() {
 }
 
 #[test]
+fn deeply_nested_json_fails_with_the_depth_error() {
+    // Without a depth limit, the parser recursed once per `[` and 200,000
+    // of them overflowed its stack (exit 134) before any error printed.
+    let path = temp_path("nested.json");
+    std::fs::write(&path, "[".repeat(200_000)).unwrap();
+    let p = path.to_str().unwrap();
+    for args in [&["run", p][..], &["compare", p, p][..]] {
+        let out = fedms().args(args).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains("deeper than 128 levels at byte 128"), "{args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_file(path);
+}
+
+#[test]
 fn unknown_flag_rejected() {
     let out = fedms().args(["run", "--bogus"]).output().expect("binary runs");
     assert!(!out.status.success());
@@ -195,6 +211,7 @@ fn bad_or_missing_flag_values_exit_2_naming_flag_and_value() {
             &["run", "--threat-schedule", "1..: wat=3"][..],
             &["--threat-schedule", "\"1..: wat=3\""][..],
         ),
+        (&["run", "--backend", "blocked"][..], &["--backend", "\"blocked\""][..]),
     ] {
         let out = fedms().args(args).output().expect("binary runs");
         assert_eq!(out.status.code(), Some(2), "{args:?}");
