@@ -54,18 +54,36 @@ pub struct RunManifest {
     pub trials: Vec<ManifestTrial>,
 }
 
-/// `git rev-parse --short HEAD`, or `"unknown"` when git or the checkout is
-/// unavailable. Best effort by design — provenance must never fail a sweep.
+/// `git rev-parse --short HEAD` of the checkout around the working
+/// directory, with `-dirty` appended unless git confirms that the tracked
+/// files match `HEAD` (untracked files do not count), or `"unknown"` when
+/// git or the checkout is unavailable. Best effort by design — provenance
+/// must never fail a sweep.
 pub fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
+    git_rev_in(Path::new("."))
+}
+
+/// [`git_rev`] for the checkout around `dir`.
+fn git_rev_in(dir: &Path) -> String {
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .current_dir(dir)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .and_then(|o| String::from_utf8(o.stdout).ok())
+    };
+    let Some(rev) = git(&["rev-parse", "--short", "HEAD"])
         .map(|s| s.trim().to_string())
         .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
+    else {
+        return "unknown".to_string();
+    };
+    match git(&["status", "--porcelain", "--untracked-files=no"]) {
+        Some(changes) if changes.trim().is_empty() => rev,
+        _ => format!("{rev}-dirty"),
+    }
 }
 
 /// Handle to one run directory.
@@ -232,6 +250,35 @@ mod tests {
 
     fn tmp_base(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("fedms-exp-store-{}-{tag}", std::process::id()))
+    }
+
+    #[test]
+    fn git_rev_marks_modified_tracked_files() {
+        let dir = tmp_base("git-rev");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        assert_eq!(git_rev_in(&dir), "unknown", "not a repository");
+        let git = |args: &[&str]| {
+            let out = std::process::Command::new("git")
+                .args(["-c", "user.name=fedms", "-c", "user.email=fedms@example.invalid"])
+                .args(["-c", "commit.gpgsign=false"])
+                .args(args)
+                .current_dir(&dir)
+                .output()
+                .unwrap();
+            assert!(out.status.success(), "git {args:?}: {out:?}");
+        };
+        git(&["init", "-q"]);
+        std::fs::write(dir.join("tracked.txt"), "a\n").unwrap();
+        git(&["add", "tracked.txt"]);
+        git(&["commit", "-q", "-m", "init"]);
+        let clean = git_rev_in(&dir);
+        assert!(clean.len() >= 7 && clean.chars().all(|c| c.is_ascii_hexdigit()), "{clean}");
+        std::fs::write(dir.join("untracked.txt"), "b\n").unwrap();
+        assert_eq!(git_rev_in(&dir), clean, "untracked files do not count");
+        std::fs::write(dir.join("tracked.txt"), "c\n").unwrap();
+        assert_eq!(git_rev_in(&dir), format!("{clean}-dirty"));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     fn record(id: &str, completed: bool) -> TrialRecord {

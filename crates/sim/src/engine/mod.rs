@@ -684,7 +684,7 @@ impl SimulationEngine {
         let diagnostics = if capture_views {
             Some(phases::diagnostics(phases::DiagnosticsCtx {
                 views: &outcome.first_views,
-                filtered0: &outcome.models[0],
+                filtered0: &outcome.models[outcome.slots[0]],
                 store: &self.store,
                 active: &active,
                 trained: &trained,
@@ -695,12 +695,11 @@ impl SimulationEngine {
             None
         };
 
-        // Commit: install the cohort's filtered models into the bank (the
-        // rest of the federation keeps its banked state), advance the
-        // round, absorb the transport's counters.
-        for (&k, model) in cohort.iter().zip(outcome.models) {
-            self.store.set_model(k, model)?;
-        }
+        // Commit: install the cohort's filtered models into the bank, each
+        // distinct result interned once (the rest of the federation keeps
+        // its banked state), advance the round, absorb the transport's
+        // counters.
+        self.store.commit(&cohort, outcome.models, &outcome.slots)?;
         self.store.sweep();
         self.round += 1;
         let comm = self.transport.take_comm();

@@ -15,8 +15,18 @@ fn small_setup(
     filter: Box<dyn AggregationRule>,
     parallel: bool,
 ) -> SimulationEngine {
+    let attacks = byzantine.into_iter().map(|id| (id, attack.build().unwrap())).collect();
+    small_setup_with(attacks, filter, parallel)
+}
+
+/// [`small_setup`] with prebuilt server attacks (one per Byzantine id).
+fn small_setup_with(
+    attacks: Vec<(usize, Box<dyn ServerAttack>)>,
+    filter: Box<dyn AggregationRule>,
+    parallel: bool,
+) -> SimulationEngine {
     let (train, test) = SynthVisionConfig::small().generate(3).unwrap();
-    let topo = Topology::new(8, 4, byzantine.clone()).unwrap();
+    let topo = Topology::new(8, 4, attacks.iter().map(|(id, _)| *id)).unwrap();
     let parts = DirichletPartitioner::new(10.0).unwrap().partition(&train, 8, 3).unwrap();
     let config = EngineConfig {
         topology: topo,
@@ -37,7 +47,6 @@ fn small_setup(
         estimator: EstimatorPolicy::default(),
         backend: fedms_tensor::BackendKind::Scalar,
     };
-    let attacks = byzantine.into_iter().map(|id| (id, attack.build().unwrap())).collect();
     SimulationEngine::new(config, &train, &test, &parts, filter, attacks).unwrap()
 }
 
@@ -61,6 +70,52 @@ fn all_clients_share_filtered_model_under_broadcast() {
     for m in &models[1..] {
         assert_eq!(m, &models[0]);
     }
+}
+
+/// A client filter that counts its `aggregate` calls.
+struct CountingRule {
+    inner: Box<dyn AggregationRule>,
+    calls: std::sync::Arc<std::sync::atomic::AtomicUsize>,
+}
+
+impl AggregationRule for CountingRule {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn aggregate(&self, models: &[Tensor]) -> fedms_aggregation::Result<Tensor> {
+        self.calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.inner.aggregate(models)
+    }
+}
+
+#[test]
+fn filter_runs_once_per_distinct_view() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+    let counting = |calls: &Arc<AtomicUsize>| -> Box<dyn AggregationRule> {
+        Box::new(CountingRule {
+            inner: Box::new(TrimmedMean::new(0.25).unwrap()),
+            calls: Arc::clone(calls),
+        })
+    };
+    // A consistent Byzantine broadcast and no faults: all 8 clients
+    // realize one view, so one filter call serves the round.
+    let calls = Arc::new(AtomicUsize::new(0));
+    let attacks = vec![(1, AttackKind::Noise { std: 0.5 }.build().unwrap())];
+    let mut e = small_setup_with(attacks, counting(&calls), true);
+    e.step_round(false).unwrap();
+    assert_eq!(calls.load(Ordering::Relaxed), 1);
+    assert_eq!(e.distinct_client_models(), 1);
+    // An equivocating server sends every client its own model, so every
+    // view is distinct: one call per cohort client, every round.
+    let calls = Arc::new(AtomicUsize::new(0));
+    let attacks =
+        vec![(1, AttackKind::Random { lo: -10.0, hi: 10.0 }.build_equivocating(5).unwrap())];
+    let mut e = small_setup_with(attacks, counting(&calls), true);
+    e.run(2).unwrap();
+    assert_eq!(calls.load(Ordering::Relaxed), 2 * 8);
+    assert_eq!(e.distinct_client_models(), 8);
 }
 
 #[test]

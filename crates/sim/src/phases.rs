@@ -12,7 +12,8 @@
 //! 4. [`disseminate`] — (possibly Byzantine) dissemination, queued on the
 //!    transport (line 5),
 //! 5. [`filter`] — per-client realization of the downlink and the
-//!    `Def(·)` filter (lines 12–13).
+//!    `Def(·)` filter, applied once per distinct realized view (lines
+//!    12–13).
 //!
 //! The phases never touch fault realization or message accounting — both
 //! live behind the [`Transport`] — and they never share mutable state
@@ -24,9 +25,11 @@
 //! (this round's sampled clients). Training rehydrates one client per
 //! worker at a time; uploads stream into per-server accumulators when the
 //! transport supports it; filtering drains downlinks in fixed-size blocks
-//! through a [`BufferPool`]. At no point does the pipeline hold more than
-//! `O(cohort × dim)` trained vectors plus `O(block × P × dim)` transient
-//! views.
+//! through a [`BufferPool`] and keeps only each block's distinct views. At
+//! no point does the pipeline hold more than `O(cohort × dim)` trained
+//! vectors plus `O((distinct views in a block + 1) × P × dim)` transient
+//! views — `O(P × dim)` when every client receives the same
+//! disseminations.
 
 use fedms_aggregation::{AggregationRule, Mean, MeanAccumulator};
 use fedms_attacks::{ClientAttack, ClientAttackContext};
@@ -35,13 +38,14 @@ use fedms_tensor::Tensor;
 use rand::rngs::StdRng;
 
 use crate::recovery::{DegradedMode, UploadReport};
-use crate::store::ClientStore;
+use crate::store::{bits_equal, ClientStore};
 use crate::transport::{Broadcast, DeliveryOutcome, Dissemination, Transport, Upload};
 use crate::{EventLog, Result, RoundDiagnostics, RoundEvent, Server, SimError};
 
 /// Downlink realizations processed per filter block: bounds the pooled
-/// view tensors resident at once to `O(FILTER_BLOCK × P × dim)` without
-/// affecting results (the stitch order is block-independent).
+/// view tensors resident at once to `O(FILTER_BLOCK × P × dim)` even when
+/// every view is distinct, without affecting results (the stitch order is
+/// block-independent).
 const FILTER_BLOCK: usize = 256;
 
 /// Uniformly samples `take` of `ids` without replacement, returning them
@@ -404,9 +408,13 @@ pub(crate) struct FilterCtx<'a> {
 
 /// What the filtering phase produces.
 pub(crate) struct FilterOutcome {
-    /// The post-filter model of every cohort client, aligned with the
-    /// cohort.
+    /// One post-filter model per group of cohort clients that realized
+    /// the same view (and one per client that kept its local model), in
+    /// order of each group's first client.
     pub models: Vec<Tensor>,
+    /// For each cohort client, in cohort order, the index of its
+    /// post-filter model in `models`.
+    pub slots: Vec<usize>,
     /// The first cohort client's realized (post-fault) server views, if
     /// captured.
     pub first_views: Vec<Tensor>,
@@ -415,19 +423,39 @@ pub(crate) struct FilterOutcome {
     pub suppressed_duplicates: usize,
 }
 
+/// Whether two realized views are the same input to `Def(·)`: equal
+/// length and bit-identical tensors in order. Each tensor's first
+/// coordinate is compared before any full compare, which rejects the views
+/// of an equivocating server after `P` loads.
+fn same_view(a: &[Tensor], b: &[Tensor]) -> bool {
+    let first = |t: &Tensor| t.as_slice().first().map(|v| v.to_bits());
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(x, y)| first(x) == first(y))
+        && a.iter().zip(b).all(|(x, y)| bits_equal(x, y))
+}
+
 /// Phase 5 — client-side filtering: each cohort client drains its own
 /// realization of the downlink, discards fault-injected duplicate
 /// deliveries (first delivery wins, so a duplicating downlink cannot
 /// double a server's weight in the filter) and applies `Def(·)` over what
 /// remains.
 ///
+/// Clients that realized the same view get the same result, since a rule
+/// is a deterministic function of its views, so `Def(·)` runs once per
+/// *distinct* view: right after each client's drain its view is compared
+/// with the distinct views already seen in its block ([`same_view`]), and
+/// a repeat joins that view's group and hands its pooled tensors straight
+/// back. Outside equivocation and faults a whole block is one group and
+/// one filter call. Clients whose view degraded below quorum are never
+/// grouped: each keeps its own local model.
+///
 /// The cohort is processed in blocks of [`FILTER_BLOCK`]: each block
 /// drains its downlinks sequentially (the transport is exclusive state)
-/// into pooled tensors, filters in parallel, then releases the views back
-/// to the pool — so at most `O(block × P × dim)` views are resident at
-/// once regardless of cohort size. Blocking is invisible in the results:
-/// outputs stitch in cohort order and `Filtered` events are buffered until
-/// the whole cohort succeeds.
+/// into pooled tensors, filters its groups in parallel, then releases the
+/// views back to the pool — so at most (distinct views in a block + 1) × P
+/// views are resident at once regardless of cohort size. Blocking and
+/// grouping are invisible in the results: outputs stitch in cohort order
+/// and `Filtered` events are buffered until the whole cohort succeeds.
 ///
 /// Graceful-degradation guard: trimming `B` per side needs a strict honest
 /// majority among the *distinct* deliveries (duplicates of one server must
@@ -438,20 +466,24 @@ pub(crate) struct FilterOutcome {
 /// the affected client's local model — is decided by
 /// [`FilterCtx::on_degraded`]. Blocks are walked in ascending client
 /// order, so an abort names the same lowest client id the unblocked
-/// engine would.
+/// engine would; a filter error surfaces for its group's first (lowest)
+/// client.
 pub(crate) fn filter(mut ctx: FilterCtx<'_>) -> Result<FilterOutcome> {
     let mut suppressed_duplicates = 0usize;
-    let mut models: Vec<Tensor> = Vec::with_capacity(ctx.cohort.len());
+    let mut models: Vec<Tensor> = Vec::new();
+    let mut slots: Vec<usize> = Vec::with_capacity(ctx.cohort.len());
     let mut first_views: Vec<Tensor> = Vec::new();
     let want_displacement = ctx.event_log.is_some();
+    // One displacement per entry of `models`.
     let mut displacements: Vec<f32> = Vec::new();
     for chunk in ctx.cohort.chunks(FILTER_BLOCK) {
         // Pass 1 (sequential): realize this block's downlinks on the
-        // transport, suppress duplicate deliveries and apply the quorum
-        // guard. Each entry is a client's realized view plus, where the
-        // policy fell back, the local model to keep (`Some` = keep local,
-        // skip the filter).
-        let mut realized: Vec<(Vec<Tensor>, Option<Tensor>)> = Vec::with_capacity(chunk.len());
+        // transport, suppress duplicate deliveries, apply the quorum guard
+        // and group identical views. Each entry is one distinct realized
+        // view plus, where the policy fell back, the local model to keep
+        // (`Some` = keep local, skip the filter; such entries stand for a
+        // single client).
+        let mut groups: Vec<(Vec<Tensor>, Option<Tensor>)> = Vec::new();
         for &k in chunk {
             let deliveries = ctx.transport.drain_deliveries_pooled(k, ctx.pool);
             let mut views = Vec::with_capacity(deliveries.len());
@@ -479,6 +511,9 @@ pub(crate) fn filter(mut ctx: FilterCtx<'_>) -> Result<FilterOutcome> {
                     threat_epoch: ctx.threat_epoch,
                 });
             }
+            if ctx.capture_views && slots.is_empty() {
+                first_views = views.clone();
+            }
             // Total blackout, or a sub-quorum view the policy chose to
             // ride out: the client keeps its locally trained model this
             // round (filtering a Byzantine-dominated sample would be
@@ -488,19 +523,25 @@ pub(crate) fn filter(mut ctx: FilterCtx<'_>) -> Result<FilterOutcome> {
                     Ok(pos) => ctx.trained[pos].clone(),
                     Err(_) => ctx.store.model(k).clone(),
                 });
-            realized.push((views, fallback));
-        }
-        if ctx.capture_views && models.is_empty() {
-            if let Some((views, _)) = realized.first() {
-                first_views = views.clone();
+            if fallback.is_none() {
+                let seen = groups.iter().position(|(g, f)| f.is_none() && same_view(g, &views));
+                if let Some(g) = seen {
+                    for v in views {
+                        ctx.pool.release_tensor(v);
+                    }
+                    slots.push(models.len() + g);
+                    continue;
+                }
             }
+            slots.push(models.len() + groups.len());
+            groups.push((views, fallback));
         }
         // Pass 2 (parallel): apply `Def(·)` — the dominant per-round cost
-        // at real model sizes — to each client's realized view
-        // independently, releasing the views to the pool afterwards.
+        // at real model sizes — once per distinct view, releasing the
+        // views to the pool afterwards.
         let filter = ctx.filter;
         let pool = ctx.pool;
-        let filtered = map_in_order(realized, ctx.threads, |(views, fallback)| {
+        let filtered = map_in_order(groups, ctx.threads, |(views, fallback)| {
             let out = match fallback {
                 Some(local) => local,
                 None => filter.aggregate(&views)?,
@@ -515,22 +556,25 @@ pub(crate) fn filter(mut ctx: FilterCtx<'_>) -> Result<FilterOutcome> {
             }
             Ok::<(Tensor, f32), SimError>((out, displacement))
         });
-        // Stitch sequentially, surfacing the lowest-client-index error.
+        // Stitch sequentially, surfacing the error of the group whose
+        // first client is lowest.
         for res in filtered {
             let (out, displacement) = res?;
             models.push(out);
-            if want_displacement {
-                displacements.push(displacement);
-            }
+            displacements.push(displacement);
         }
     }
     // Events flush only after every block succeeded, in cohort order.
     if let Some(log) = ctx.event_log.as_deref_mut() {
-        for (&client, &displacement) in ctx.cohort.iter().zip(displacements.iter()) {
-            log.push(RoundEvent::Filtered { round: ctx.round, client, displacement });
+        for (&client, &slot) in ctx.cohort.iter().zip(slots.iter()) {
+            log.push(RoundEvent::Filtered {
+                round: ctx.round,
+                client,
+                displacement: displacements[slot],
+            });
         }
     }
-    Ok(FilterOutcome { models, first_views, suppressed_duplicates })
+    Ok(FilterOutcome { models, slots, first_views, suppressed_duplicates })
 }
 
 /// Context for the diagnostics pass.

@@ -125,9 +125,9 @@ impl Partitions {
 /// Content-interned storage of every client's current model vector.
 ///
 /// `refs[k]` names the pool entry holding client `k`'s vector; identical
-/// vectors (bit-for-bit) share one entry. Commits happen in ascending
-/// client order, so the pool layout — and therefore snapshot bytes — is
-/// deterministic across thread counts.
+/// vectors (bit-for-bit) share one entry. New entries are appended in
+/// ascending order of the first client holding them, so the pool layout —
+/// and therefore snapshot bytes — is deterministic across thread counts.
 #[derive(Debug, Clone)]
 pub(crate) struct ModelBank {
     pool: Vec<Tensor>,
@@ -137,21 +137,49 @@ pub(crate) struct ModelBank {
     index: HashMap<u64, Vec<u32>>,
 }
 
-/// FNV-1a over the raw `f32` bit patterns.
+/// Lanes of [`content_hash`]: independent multiply chains, so the loop
+/// runs at the multiplier's throughput instead of its latency.
+const HASH_LANES: usize = 32;
+
+/// Odd 64-bit multiplier of [`content_hash`] (2⁶⁴ divided by the golden
+/// ratio).
+const HASH_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// A multiply-xor hash over the raw `f32` bit patterns, one word at a
+/// time in [`HASH_LANES`] interleaved lanes, folded with the length.
+///
+/// It only keys the bank's in-memory index — candidates are confirmed by
+/// [`bits_equal`] and snapshots store the pool itself — so it need not
+/// match any earlier hash. Each step `(lane ^ word) · HASH_MUL` is a
+/// bijection of the lane for a fixed word, so two vectors of one length
+/// that differ in a single element never collide.
 fn content_hash(t: &Tensor) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &v in t.as_slice() {
-        for byte in v.to_bits().to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x0100_0000_01b3);
+    let data = t.as_slice();
+    let mut lanes = [0u64; HASH_LANES];
+    let mut chunks = data.chunks_exact(HASH_LANES);
+    for chunk in chunks.by_ref() {
+        for (lane, &v) in lanes.iter_mut().zip(chunk) {
+            *lane = (*lane ^ u64::from(v.to_bits())).wrapping_mul(HASH_MUL);
         }
     }
-    h
+    for (lane, &v) in lanes.iter_mut().zip(chunks.remainder()) {
+        *lane = (*lane ^ u64::from(v.to_bits())).wrapping_mul(HASH_MUL);
+    }
+    lanes
+        .iter()
+        .fold(data.len() as u64, |h, &lane| (h ^ lane).wrapping_mul(HASH_MUL).rotate_left(29))
 }
 
-fn bits_equal(a: &Tensor, b: &Tensor) -> bool {
+/// Whether two tensors hold the same shape and bit patterns. Compares in
+/// blocks of 256 elements whose XORs fold into one word, which vectorizes
+/// where an element-by-element early exit does not, and stops at the
+/// first block that differs.
+pub(crate) fn bits_equal(a: &Tensor, b: &Tensor) -> bool {
+    const BLOCK: usize = 256;
     a.dims() == b.dims()
-        && a.as_slice().iter().zip(b.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits())
+        && a.as_slice().chunks(BLOCK).zip(b.as_slice().chunks(BLOCK)).all(|(x, y)| {
+            x.iter().zip(y).fold(0, |acc, (p, q)| acc | (p.to_bits() ^ q.to_bits())) == 0
+        })
 }
 
 impl ModelBank {
@@ -178,19 +206,24 @@ impl ModelBank {
 
     /// Points client `k` at `model`, interning by content.
     fn set(&mut self, k: usize, model: Tensor) {
+        self.refs[k] = self.intern(model);
+    }
+
+    /// The pool entry holding `model`'s content: the first existing entry
+    /// with equal bits, or a new entry appended at the end.
+    fn intern(&mut self, model: Tensor) -> u32 {
         let h = content_hash(&model);
         if let Some(cands) = self.index.get(&h) {
             for &idx in cands {
                 if bits_equal(&self.pool[idx as usize], &model) {
-                    self.refs[k] = idx;
-                    return;
+                    return idx;
                 }
             }
         }
         let idx = u32::try_from(self.pool.len()).expect("model pool outgrew u32 indices");
         self.pool.push(model);
         self.index.entry(h).or_default().push(idx);
-        self.refs[k] = idx;
+        idx
     }
 
     /// Drops unreferenced pool entries, compacting in stable order.
@@ -329,20 +362,34 @@ impl ClientStore {
         *self.poison.entry(k).or_insert(0) += offset;
     }
 
-    /// Installs a committed model for client `k`.
+    /// Installs a round's committed models: client `clients[i]` gets
+    /// `models[slots[i]]`. Each model is interned once, in index order.
+    /// With `clients` ascending and `models` ordered by the first client
+    /// that uses each, that is the pool layout interning every client's
+    /// model in ascending client order would build, so snapshot bytes do
+    /// not depend on how the clients were grouped.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::BadConfig`] for a wrong-length vector.
-    pub(crate) fn set_model(&mut self, k: usize, model: Tensor) -> Result<()> {
-        if model.len() != self.model_len {
+    /// Returns [`SimError::BadConfig`] for a wrong-length vector, before
+    /// any client is touched.
+    pub(crate) fn commit(
+        &mut self,
+        clients: &[usize],
+        models: Vec<Tensor>,
+        slots: &[usize],
+    ) -> Result<()> {
+        if let Some(bad) = models.iter().find(|m| m.len() != self.model_len) {
             return Err(SimError::BadConfig(format!(
                 "model vector of {} parameters does not fit the {}-parameter model",
-                model.len(),
+                bad.len(),
                 self.model_len
             )));
         }
-        self.bank.set(k, model);
+        let entries: Vec<u32> = models.into_iter().map(|m| self.bank.intern(m)).collect();
+        for (&k, &slot) in clients.iter().zip(slots) {
+            self.bank.refs[k] = entries[slot];
+        }
         Ok(())
     }
 
@@ -490,22 +537,55 @@ mod tests {
         let parts = Partitions::explicit(vec![vec![0], vec![1], vec![2]]);
         let (mut store, _) = small_store(parts);
         assert_eq!(store.distinct_models(), 1);
-        let shared = Tensor::from_vec(vec![1.0; store.model_len()], &[store.model_len()]).unwrap();
-        store.set_model(0, shared.clone()).unwrap();
-        store.set_model(1, shared.clone()).unwrap();
-        let other = Tensor::from_vec(vec![2.0; store.model_len()], &[store.model_len()]).unwrap();
-        store.set_model(2, other).unwrap();
+        let len = store.model_len();
+        let shared = Tensor::from_vec(vec![1.0; len], &[len]).unwrap();
+        let other = Tensor::from_vec(vec![2.0; len], &[len]).unwrap();
+        store.commit(&[0, 1, 2], vec![shared.clone(), other.clone()], &[0, 0, 1]).unwrap();
         store.sweep();
         // w₀ is unreferenced now; the shared vector is interned once.
         assert_eq!(store.distinct_models(), 2);
         assert_eq!(store.model(0), store.model(1));
-        assert!(store.set_model(0, Tensor::zeros(&[3])).is_err());
+        assert!(store.commit(&[0], vec![Tensor::zeros(&[3])], &[0]).is_err());
         let (pool, refs) = store.bank_parts();
         assert_eq!(pool.len(), 2);
         assert_eq!(refs.len(), 3);
         let dense = store.dense_models();
         assert_eq!(dense.len(), 3);
         assert_eq!(dense[0], shared);
+        // Vectors that differ only in their last element hash apart and
+        // stay two entries; the repeat of `other` finds its entry.
+        let mut last = vec![2.0; len];
+        last[len - 1] = 2.5;
+        let near = Tensor::from_vec(last, &[len]).unwrap();
+        assert_ne!(content_hash(&other), content_hash(&near));
+        store.commit(&[0, 1], vec![other.clone(), near.clone()], &[0, 1]).unwrap();
+        store.sweep();
+        assert_eq!(store.distinct_models(), 2);
+        assert_eq!(store.model(0), &other);
+        assert_eq!(store.model(1), &near);
+        assert_eq!(store.model(2), &other);
+    }
+
+    #[test]
+    fn commit_lays_out_the_pool_like_per_client_interning() {
+        let parts = Partitions::explicit((0..6).map(|k| vec![k]).collect());
+        let (mut store, _) = small_store(parts);
+        let len = store.model_len();
+        let vector = |v: f32| Tensor::from_vec(vec![v; len], &[len]).unwrap();
+        let initial = store.model(0).clone();
+        // Groups in first-client order; the third result repeats the banked
+        // w₀ and the last repeats the first group's bits.
+        let models = vec![vector(1.0), vector(2.0), initial, vector(3.0), vector(1.0)];
+        let slots = [0, 1, 0, 2, 3, 4];
+        let mut per_client = store.bank.clone();
+        for (k, &slot) in slots.iter().enumerate() {
+            per_client.set(k, models[slot].clone());
+        }
+        store.commit(&[0, 1, 2, 3, 4, 5], models, &slots).unwrap();
+        assert_eq!(store.bank_parts(), (per_client.pool.clone(), per_client.refs.clone()));
+        store.sweep();
+        per_client.sweep();
+        assert_eq!(store.bank_parts(), (per_client.pool, per_client.refs));
     }
 
     #[test]
@@ -513,7 +593,7 @@ mod tests {
         let parts = Partitions::explicit(vec![vec![0], vec![1]]);
         let (mut store, _) = small_store(parts);
         let v = Tensor::from_vec(vec![3.0; store.model_len()], &[store.model_len()]).unwrap();
-        store.set_model(1, v).unwrap();
+        store.commit(&[1], vec![v], &[0]).unwrap();
         let (pool, refs) = store.bank_parts();
         let mut other = {
             let parts = Partitions::explicit(vec![vec![0], vec![1]]);
