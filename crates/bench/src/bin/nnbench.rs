@@ -1,10 +1,10 @@
 //! The GEMM microbench and its CI regression gate.
 //!
-//! Measures the scalar backend's packed `matmul_transb` — `out = x · Wᵀ`,
-//! the product behind every `Linear` forward and every conv weight
-//! gradient — against the one-dot-product-per-output loop it replaced, kept
-//! here as the reference, at the paper MLP's hot shape: batch 32 through
-//! the `192 → 64` layer. The kernel keeps every output's f32 operation
+//! Measures the packed `kernels::matmul_transb` — `out = x · Wᵀ`, the
+//! product behind every `Linear` forward and every conv weight gradient —
+//! against the one-dot-product-per-output loop it replaced, kept here as
+//! the reference, at the paper MLP's hot shape: batch 32 through the
+//! `192 → 64` layer. The kernel keeps every output's f32 operation
 //! sequence, so the two must agree bit for bit.
 //!
 //! Usage: `nnbench [--quick] [--out PATH] [--check BASELINE]`, with the
@@ -12,7 +12,7 @@
 //! [`fedms_bench::perf`] ([`NNBENCH`]).
 
 use fedms_bench::perf::{self, pseudo_values, Pair, Workload, NNBENCH};
-use fedms_tensor::BackendHandle;
+use fedms_tensor::kernels;
 use std::process::ExitCode;
 
 /// The hot GEMM of the paper MLP: `x (32×192) · W₁ᵀ (64×192)`.
@@ -27,13 +27,8 @@ const GEMM_REPS: usize = 400;
 /// `b: (n×k)`, `out: (m×n)`.
 type TransB = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
 
-/// The scalar backend's packed kernel.
-fn packed(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    BackendHandle::scalar().matmul_transb(a, b, out, m, k, n);
-}
-
-/// `out = a · bᵀ` as the scalar backend computed it before it packed Bᵀ:
-/// one dot product per output, from `+0.0` in `k` order.
+/// `out = a · bᵀ` as [`kernels::matmul_transb`] computed it before it
+/// packed Bᵀ: one dot product per output, from `+0.0` in `k` order.
 fn dot_products(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     for i in 0..m {
         let arow = &a[i * k..(i + 1) * k];
@@ -95,7 +90,7 @@ fn main() -> ExitCode {
     perf::run(&NNBENCH, &workload, |harness| {
         let pair = Pair::measure(
             harness,
-            &mut MatmulWorkload::new("gemm/packed", packed),
+            &mut MatmulWorkload::new("gemm/packed", kernels::matmul_transb),
             &mut MatmulWorkload::new("gemm/dot_products", dot_products),
         )?;
         Ok(vec![("gemm", pair)])

@@ -264,8 +264,8 @@ pub const FILTERBENCH: Bench = Bench {
     min_speedup: 8.0,
 };
 
-/// `nnbench`: the scalar backend's packed `matmul_transb` against the
-/// dot-product loop it replaced. The floor sits well under the 8–9× the
+/// `nnbench`: the packed `kernels::matmul_transb` against the dot-product
+/// loop it replaced. The floor sits well under the 8–9× the
 /// kernel measures on a native build.
 pub const NNBENCH: Bench =
     Bench { bin: "nnbench", default_out: "BENCH_nn.json", gated: "gemm", min_speedup: 3.0 };

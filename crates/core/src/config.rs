@@ -137,9 +137,10 @@ pub struct FedMsConfig {
     /// configured `filter` in charge.
     #[serde(default)]
     pub estimator: EstimatorPolicy,
-    /// Compute backend for client training kernels
-    /// ([`fedms_tensor::BackendKind`]): `Scalar`, the bit-exact oracle and
-    /// the only backend (spec key and `--backend` flag `backend`).
+    /// The backend selection ([`fedms_tensor::BackendKind`]): `Scalar`, the
+    /// only value (spec key and `--backend` flag `backend`). Nothing reads
+    /// it; every client runs the kernels in `fedms_tensor::kernels`. It
+    /// stays because this config serialises it into every config hash.
     #[serde(default)]
     pub backend: BackendKind,
 }

@@ -7,7 +7,6 @@
 
 use fedms_tensor::Tensor;
 use rand::seq::SliceRandom;
-use rand::Rng;
 
 use crate::{Layer, NnError, Result};
 
@@ -72,22 +71,6 @@ fn numeric_grad(probe: &mut impl FnMut(f32) -> Result<f32>, orig: f32) -> Result
 /// ```
 pub fn check_layer(
     mut layer: Box<dyn Layer>,
-    input_dims: &[usize],
-    seed: u64,
-    tol: f32,
-) -> Result<()> {
-    check_layer_ref(layer.as_mut(), input_dims, seed, tol)
-}
-
-/// Borrowing form of [`check_layer`]: verifies the layer in place, leaving
-/// every parameter at its original value afterwards, so the same layer can
-/// be checked repeatedly.
-///
-/// # Errors
-///
-/// Same contract as [`check_layer`].
-pub fn check_layer_ref(
-    layer: &mut dyn Layer,
     input_dims: &[usize],
     seed: u64,
     tol: f32,
@@ -168,12 +151,6 @@ pub fn check_layer_ref(
     Ok(())
 }
 
-/// Draws a fresh random input compatible with `dims`; exposed so callers can
-/// build custom checks for composite models.
-pub fn random_input<R: Rng + ?Sized>(rng: &mut R, dims: &[usize]) -> Tensor {
-    Tensor::randn(rng, dims, 0.0, 1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,11 +214,5 @@ mod tests {
         check_layer(scaled(1.0, 1.0), &[2, 3], 2, 2e-2).unwrap();
         let err = check_layer(scaled(1.0, 2.0), &[2, 3], 2, 2e-2).unwrap_err();
         assert!(err.to_string().contains("backward_params"), "{err}");
-    }
-
-    #[test]
-    fn random_input_has_requested_shape() {
-        let mut rng = fedms_tensor::rng::rng_for(3, &[]);
-        assert_eq!(random_input(&mut rng, &[2, 3]).dims(), &[2, 3]);
     }
 }

@@ -1,7 +1,7 @@
 //! Convolutional layers: standard (im2col + GEMM, lowering-free at 1×1) and
 //! depthwise (a direct kernel over a zero-padded input).
 
-use fedms_tensor::{BackendHandle, Conv2dGeometry, Tensor, TensorError};
+use fedms_tensor::{kernels, Conv2dGeometry, Tensor, TensorError};
 use rand::Rng;
 
 use crate::{Layer, NnError, Result};
@@ -59,7 +59,6 @@ pub struct Conv2d {
     /// One sample's scratch: inference columns, backward `dW` and `dCols`.
     scratch: Vec<f32>,
     training: bool,
-    backend: BackendHandle,
 }
 
 impl Conv2d {
@@ -90,7 +89,6 @@ impl Conv2d {
             cached_batch: 0,
             scratch: Vec::new(),
             training: true,
-            backend: BackendHandle::scalar(),
         })
     }
 
@@ -125,7 +123,7 @@ impl Conv2d {
             let go = &grad_out.as_slice()[s * oc * plane..(s + 1) * oc * plane];
             let cols = &self.cols[s * block..(s + 1) * block];
             // dW += gradOut · colsᵀ, one per-sample product at a time.
-            self.backend.matmul_transb(go, cols, dw, oc, plane, rows);
+            kernels::matmul_transb(go, cols, dw, oc, plane, rows);
             for (gw, &v) in self.grad_weight.as_mut_slice().iter_mut().zip(dw.iter()) {
                 *gw += v;
             }
@@ -142,10 +140,10 @@ impl Conv2d {
             // writes the image gradient directly.
             if lowered {
                 dcols.fill(0.0);
-                self.backend.matmul_transa(self.weight.as_slice(), go, dcols, rows, oc, plane);
-                self.backend.col2im(dcols, &g, gi);
+                kernels::matmul_transa(self.weight.as_slice(), go, dcols, rows, oc, plane);
+                kernels::col2im(dcols, &g, gi);
             } else {
-                self.backend.matmul_transa(self.weight.as_slice(), go, gi, rows, oc, plane);
+                kernels::matmul_transa(self.weight.as_slice(), go, gi, rows, oc, plane);
             }
         }
         Ok(())
@@ -180,18 +178,18 @@ impl Layer for Conv2d {
             let cols: &[f32] = if self.training {
                 let cols = &mut self.cols[s * block..(s + 1) * block];
                 if lowered {
-                    self.backend.im2col(img, &g, cols);
+                    kernels::im2col(img, &g, cols);
                 } else {
                     cols.copy_from_slice(img);
                 }
                 cols
             } else if lowered {
-                self.backend.im2col(img, &g, &mut self.scratch);
+                kernels::im2col(img, &g, &mut self.scratch);
                 &self.scratch
             } else {
                 img
             };
-            self.backend.matmul(self.weight.as_slice(), cols, dst, oc, rows, plane);
+            kernels::matmul(self.weight.as_slice(), cols, dst, oc, rows, plane);
             for (orow, &b) in dst.chunks_exact_mut(plane).zip(self.bias.as_slice()) {
                 for d in orow {
                     *d += b;
@@ -236,14 +234,6 @@ impl Layer for Conv2d {
     fn set_training(&mut self, training: bool) {
         self.training = training;
     }
-
-    fn set_backend(&mut self, backend: BackendHandle) {
-        self.backend = backend;
-    }
-
-    fn backend(&self) -> BackendHandle {
-        self.backend
-    }
 }
 
 /// A depthwise 2-D convolution: one `k×k` filter per channel, no cross-
@@ -252,10 +242,10 @@ impl Layer for Conv2d {
 /// * input/output channels are equal
 /// * weight: `(channels, k·k)`, bias: `(channels)`
 ///
-/// Runs the backend's direct depthwise kernel over a zero-padded copy of
-/// the input. A training forward keeps the batch's padded input in one
-/// contiguous buffer for the backward pass; an inference forward pads one
-/// sample at a time into the same buffer and keeps nothing.
+/// Runs the direct depthwise kernel over a zero-padded copy of the input.
+/// A training forward keeps the batch's padded input in one contiguous
+/// buffer for the backward pass; an inference forward pads one sample at a
+/// time into the same buffer and keeps nothing.
 #[derive(Debug, Clone)]
 pub struct DepthwiseConv2d {
     geom: Conv2dGeometry,
@@ -270,7 +260,6 @@ pub struct DepthwiseConv2d {
     /// cached.
     cached_batch: usize,
     training: bool,
-    backend: BackendHandle,
 }
 
 impl DepthwiseConv2d {
@@ -294,7 +283,6 @@ impl DepthwiseConv2d {
             padded: Vec::new(),
             cached_batch: 0,
             training: true,
-            backend: BackendHandle::scalar(),
         })
     }
 
@@ -325,7 +313,7 @@ impl Layer for DepthwiseConv2d {
             let at = if self.training { s * block } else { 0 };
             let padded = &mut self.padded[at..at + block];
             g.pad_image(img, padded);
-            self.backend.depthwise_forward(
+            kernels::depthwise_forward(
                 padded,
                 self.weight.as_slice(),
                 self.bias.as_slice(),
@@ -347,7 +335,7 @@ impl Layer for DepthwiseConv2d {
         let g = self.geom;
         check_grad_out(grad_out, batch, g.in_channels, g.out_h, g.out_w)?;
         let mut grad_in = Tensor::zeros(&[batch, g.in_channels, g.in_h, g.in_w]);
-        self.backend.depthwise_backward(
+        kernels::depthwise_backward(
             &self.padded,
             self.weight.as_slice(),
             grad_out.as_slice(),
@@ -378,14 +366,6 @@ impl Layer for DepthwiseConv2d {
 
     fn set_training(&mut self, training: bool) {
         self.training = training;
-    }
-
-    fn set_backend(&mut self, backend: BackendHandle) {
-        self.backend = backend;
-    }
-
-    fn backend(&self) -> BackendHandle {
-        self.backend
     }
 }
 

@@ -1,6 +1,6 @@
 //! Fully connected layer.
 
-use fedms_tensor::{BackendHandle, Tensor};
+use fedms_tensor::Tensor;
 use rand::Rng;
 
 use crate::{Layer, NnError, Result};
@@ -24,7 +24,6 @@ pub struct Linear {
     grad_bias: Tensor,
     cached_input: Option<Tensor>,
     training: bool,
-    backend: BackendHandle,
 }
 
 impl Linear {
@@ -52,7 +51,6 @@ impl Linear {
             grad_bias: Tensor::zeros(&[out_features]),
             cached_input: None,
             training: true,
-            backend: BackendHandle::scalar(),
         })
     }
 
@@ -73,7 +71,7 @@ impl Layer for Linear {
     }
 
     fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
-        let mut out = input.matmul_transb_on(&self.weight, self.backend)?;
+        let mut out = input.matmul_transb(&self.weight)?;
         let (batch, of) = (out.dims()[0], self.out_features);
         let bias = self.bias.as_slice();
         let data = out.as_mut_slice();
@@ -89,13 +87,13 @@ impl Layer for Linear {
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
         self.backward_params(grad_out)?;
         // dX = gradOut · W   →  (batch, out)·(out, in) = (batch, in)
-        Ok(grad_out.matmul_on(&self.weight, self.backend)?)
+        Ok(grad_out.matmul(&self.weight)?)
     }
 
     fn backward_params(&mut self, grad_out: &Tensor) -> Result<()> {
         let input = self.cached_input.as_ref().ok_or(NnError::NoForwardCache("linear"))?;
         // dW += gradOutᵀ · x   →  (out, batch)·(batch, in) = (out, in)
-        let dw = grad_out.matmul_transa_on(input, self.backend)?;
+        let dw = grad_out.matmul_transa(input)?;
         self.grad_weight.add_inplace(&dw)?;
         // db += column sums of gradOut
         let (batch, of) = (grad_out.dims()[0], self.out_features);
@@ -128,14 +126,6 @@ impl Layer for Linear {
 
     fn set_training(&mut self, training: bool) {
         self.training = training;
-    }
-
-    fn set_backend(&mut self, backend: BackendHandle) {
-        self.backend = backend;
-    }
-
-    fn backend(&self) -> BackendHandle {
-        self.backend
     }
 }
 

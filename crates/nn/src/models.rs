@@ -1,7 +1,7 @@
 //! Ready-made model architectures: [`Mlp`] and [`MobileNetNano`].
 
 use fedms_tensor::rng::rng_for;
-use fedms_tensor::{BackendHandle, Conv2dGeometry, Tensor};
+use fedms_tensor::{Conv2dGeometry, Tensor};
 use serde::{Deserialize, Serialize};
 
 use crate::{
@@ -97,14 +97,6 @@ impl Layer for Mlp {
     fn zero_grads(&mut self) {
         self.seq.zero_grads()
     }
-
-    fn set_backend(&mut self, backend: BackendHandle) {
-        self.seq.set_backend(backend)
-    }
-
-    fn backend(&self) -> BackendHandle {
-        self.seq.backend()
-    }
 }
 
 /// One MobileNetV2 inverted-residual block: pointwise expansion → ReLU6 →
@@ -183,14 +175,6 @@ impl Layer for InvertedResidual {
 
     fn zero_grads(&mut self) {
         self.body.zero_grads()
-    }
-
-    fn set_backend(&mut self, backend: BackendHandle) {
-        self.body.set_backend(backend)
-    }
-
-    fn backend(&self) -> BackendHandle {
-        self.body.backend()
     }
 }
 
@@ -322,14 +306,6 @@ impl Layer for MobileNetNano {
 
     fn zero_grads(&mut self) {
         self.seq.zero_grads()
-    }
-
-    fn set_backend(&mut self, backend: BackendHandle) {
-        self.seq.set_backend(backend)
-    }
-
-    fn backend(&self) -> BackendHandle {
-        self.seq.backend()
     }
 }
 

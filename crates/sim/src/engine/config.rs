@@ -71,39 +71,15 @@ pub struct EngineConfig {
     /// keeps the statically configured filter bit-identically in charge.
     #[serde(default)]
     pub estimator: EstimatorPolicy,
-    /// Compute backend for every client's dense kernels (the GEMMs, the
-    /// conv lowering and the depthwise pair): [`BackendKind::Scalar`], the
-    /// bit-exact oracle and the only backend.
+    /// The backend selection: [`BackendKind::Scalar`], the only value.
+    /// Nothing reads it; every client runs the kernels in
+    /// `fedms_tensor::kernels`. It stays while roundbench writes this
+    /// struct out field by field (see [`BackendKind`]).
     #[serde(default)]
     pub backend: BackendKind,
 }
 
 impl EngineConfig {
-    /// The paper's federated-learning settings (Table II): `K = 50`
-    /// clients, `P = 10` servers, `E = 3` local iterations, sparse upload.
-    /// The Byzantine set is empty here; callers add attacks per experiment.
-    pub fn paper_defaults(seed: u64) -> Result<Self> {
-        Ok(EngineConfig {
-            topology: Topology::new(50, 10, [])?,
-            model: ModelSpec::default_mlp(),
-            upload: UploadStrategy::Sparse,
-            local_epochs: 3,
-            batch_size: 32,
-            schedule: LrSchedule::Constant(0.1),
-            seed,
-            eval_every: 1,
-            eval_clients: 0,
-            parallel: true,
-            threads: 0,
-            eval_after_local: true,
-            recovery: RecoveryPolicy::disabled(),
-            cohort: 0,
-            threat: ThreatSchedule::none(),
-            estimator: EstimatorPolicy::default(),
-            backend: BackendKind::Scalar,
-        })
-    }
-
     pub(crate) fn validate(&self) -> Result<()> {
         if self.local_epochs == 0 {
             return Err(SimError::BadConfig("local_epochs must be positive".into()));

@@ -209,7 +209,6 @@ impl SimulationEngine {
             train_set,
             partitions,
             initial_model.clone(),
-            config.backend.resolve(),
         )?;
 
         let mut attack_map: std::collections::BTreeMap<usize, Box<dyn ServerAttack>> =

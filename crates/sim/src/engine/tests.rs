@@ -1,6 +1,9 @@
 //! Tests for the engine orchestrator and its phase pipeline (child module
 //! of `engine`, relocated to keep the orchestrator readable).
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
 use super::*;
 use fedms_aggregation::{EstimatorPolicy, Mean, TrimmedMean};
 use fedms_attacks::AttackKind;
@@ -25,11 +28,15 @@ fn small_setup_with(
     filter: Box<dyn AggregationRule>,
     parallel: bool,
 ) -> SimulationEngine {
-    let (train, test) = SynthVisionConfig::small().generate(3).unwrap();
     let topo = Topology::new(8, 4, attacks.iter().map(|(id, _)| *id)).unwrap();
-    let parts = DirichletPartitioner::new(10.0).unwrap().partition(&train, 8, 3).unwrap();
-    let config = EngineConfig {
-        topology: topo,
+    small_engine(small_config(topo, parallel), filter, attacks)
+}
+
+/// The small run the helpers here share: an MLP on the small vision set,
+/// two local steps of batch 4 per round, every round evaluated.
+fn small_config(topology: Topology, parallel: bool) -> EngineConfig {
+    EngineConfig {
+        topology,
         model: ModelSpec::Mlp { widths: vec![16, 8, 4] },
         upload: UploadStrategy::Sparse,
         local_epochs: 2,
@@ -46,7 +53,17 @@ fn small_setup_with(
         threat: ThreatSchedule::none(),
         estimator: EstimatorPolicy::default(),
         backend: fedms_tensor::BackendKind::Scalar,
-    };
+    }
+}
+
+/// An engine running `config` (8 clients) over the small vision set.
+fn small_engine(
+    config: EngineConfig,
+    filter: Box<dyn AggregationRule>,
+    attacks: Vec<(usize, Box<dyn ServerAttack>)>,
+) -> SimulationEngine {
+    let (train, test) = SynthVisionConfig::small().generate(3).unwrap();
+    let parts = DirichletPartitioner::new(10.0).unwrap().partition(&train, 8, 3).unwrap();
     SimulationEngine::new(config, &train, &test, &parts, filter, attacks).unwrap()
 }
 
@@ -75,7 +92,7 @@ fn all_clients_share_filtered_model_under_broadcast() {
 /// A client filter that counts its `aggregate` calls.
 struct CountingRule {
     inner: Box<dyn AggregationRule>,
-    calls: std::sync::Arc<std::sync::atomic::AtomicUsize>,
+    calls: Arc<AtomicUsize>,
 }
 
 impl AggregationRule for CountingRule {
@@ -84,21 +101,21 @@ impl AggregationRule for CountingRule {
     }
 
     fn aggregate(&self, models: &[Tensor]) -> fedms_aggregation::Result<Tensor> {
-        self.calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.calls.fetch_add(1, Ordering::Relaxed);
         self.inner.aggregate(models)
     }
 }
 
+/// A trimmed mean (β = 0.25) that counts its calls into `calls`.
+fn counting(calls: &Arc<AtomicUsize>) -> Box<dyn AggregationRule> {
+    Box::new(CountingRule {
+        inner: Box::new(TrimmedMean::new(0.25).unwrap()),
+        calls: Arc::clone(calls),
+    })
+}
+
 #[test]
 fn filter_runs_once_per_distinct_view() {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
-    let counting = |calls: &Arc<AtomicUsize>| -> Box<dyn AggregationRule> {
-        Box::new(CountingRule {
-            inner: Box::new(TrimmedMean::new(0.25).unwrap()),
-            calls: Arc::clone(calls),
-        })
-    };
     // A consistent Byzantine broadcast and no faults: all 8 clients
     // realize one view, so one filter call serves the round.
     let calls = Arc::new(AtomicUsize::new(0));
@@ -116,6 +133,27 @@ fn filter_runs_once_per_distinct_view() {
     e.run(2).unwrap();
     assert_eq!(calls.load(Ordering::Relaxed), 2 * 8);
     assert_eq!(e.distinct_client_models(), 8);
+}
+
+#[test]
+fn estimator_rule_replaces_the_configured_filter() {
+    // With the estimator on, each round filters with an adaptive trimmed
+    // mean at the estimated trim, so the configured filter never runs.
+    let run = |estimator: EstimatorPolicy| {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let attacks = vec![(1, AttackKind::Noise { std: 0.5 }.build().unwrap())];
+        let topo = Topology::new(8, 4, [1]).unwrap();
+        let config = EngineConfig { estimator, ..small_config(topo, true) };
+        let mut e = small_engine(config, counting(&calls), attacks);
+        e.run(2).unwrap();
+        (calls.load(Ordering::Relaxed), e.estimated_trim())
+    };
+    let (calls, trim) = run(EstimatorPolicy::enabled());
+    assert_eq!(calls, 0);
+    assert!(trim.is_some());
+    let (calls, trim) = run(EstimatorPolicy::default());
+    assert!(calls >= 1, "the configured filter ran {calls} times");
+    assert_eq!(trim, None);
 }
 
 #[test]
@@ -179,16 +217,17 @@ fn attack_ids_must_match_topology() {
 
 #[test]
 fn config_validation() {
-    let mut cfg = EngineConfig::paper_defaults(0).unwrap();
+    let base = || small_config(Topology::new(8, 4, []).unwrap(), false);
+    let mut cfg = base();
     cfg.local_epochs = 0;
     assert!(cfg.validate().is_err());
-    let mut cfg = EngineConfig::paper_defaults(0).unwrap();
+    let mut cfg = base();
     cfg.batch_size = 0;
     assert!(cfg.validate().is_err());
-    let mut cfg = EngineConfig::paper_defaults(0).unwrap();
+    let mut cfg = base();
     cfg.eval_every = 0;
     assert!(cfg.validate().is_err());
-    assert!(EngineConfig::paper_defaults(0).unwrap().validate().is_ok());
+    assert!(base().validate().is_ok());
 }
 
 #[test]
@@ -577,15 +616,6 @@ fn restore_rejects_version_mismatch() {
     let legacy: Snapshot = serde_json::from_str(&json).unwrap();
     assert_eq!(legacy.version, 0);
     assert!(matches!(a.restore(&legacy), Err(SimError::SnapshotVersion { found: 0, .. })));
-}
-
-#[test]
-fn paper_defaults_match_table_ii() {
-    let cfg = EngineConfig::paper_defaults(1).unwrap();
-    assert_eq!(cfg.topology.num_clients(), 50);
-    assert_eq!(cfg.topology.num_servers(), 10);
-    assert_eq!(cfg.local_epochs, 3);
-    assert_eq!(cfg.upload, UploadStrategy::Sparse);
 }
 
 #[test]

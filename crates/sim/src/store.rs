@@ -271,7 +271,6 @@ pub(crate) struct ClientStore {
     poison: BTreeMap<usize, usize>,
     bank: ModelBank,
     model_len: usize,
-    backend: fedms_tensor::BackendHandle,
 }
 
 impl std::fmt::Debug for ClientStore {
@@ -294,7 +293,6 @@ impl ClientStore {
         train: Dataset,
         partitions: Partitions,
         initial_model: Tensor,
-        backend: fedms_tensor::BackendHandle,
     ) -> Result<Self> {
         partitions.validate(train.len())?;
         let model_len = initial_model.len();
@@ -310,7 +308,6 @@ impl ClientStore {
             poison: BTreeMap::new(),
             bank,
             model_len,
-            backend,
         })
     }
 
@@ -330,9 +327,7 @@ impl ClientStore {
     /// Builds a fresh instance of the shared model architecture (all
     /// clients share `init_seed`, Algorithm 1 line 6).
     pub(crate) fn build_model(&self) -> Result<Box<dyn Layer>> {
-        let mut model = self.spec.build(self.init_seed)?;
-        model.set_backend(self.backend);
-        Ok(model)
+        self.spec.build(self.init_seed)
     }
 
     /// Materializes client `k` exactly as the eager engine would have
@@ -453,7 +448,6 @@ mod tests {
             flat.clone(),
             partitions,
             initial,
-            fedms_tensor::BackendHandle::scalar(),
         )
         .unwrap();
         (store, flat)
@@ -502,17 +496,7 @@ mod tests {
         let spec = ModelSpec::Mlp { widths: vec![16, 8, 4] };
         let initial = fedms_nn::NeuralNet::param_vector(spec.build(1).unwrap().as_ref());
         let bad = Partitions::explicit(vec![vec![0, 9999]]);
-        let err = ClientStore::new(
-            spec,
-            1,
-            1,
-            4,
-            LrSchedule::Constant(0.05),
-            flat,
-            bad,
-            initial,
-            fedms_tensor::BackendHandle::scalar(),
-        );
+        let err = ClientStore::new(spec, 1, 1, 4, LrSchedule::Constant(0.05), flat, bad, initial);
         assert!(err.is_err());
     }
 

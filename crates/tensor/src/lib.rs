@@ -4,9 +4,10 @@
 //! in the workspace: a contiguous, row-major [`Tensor`] type with the
 //! elementwise arithmetic, linear algebra ([`Tensor::matmul`]), convolution
 //! lowering ([`im2col`]/[`col2im`]) and reduction operations needed to train
-//! small neural networks from scratch, plus deterministic random-number
-//! utilities ([`rng`]) used to fan a single experiment seed out to every
-//! client, server and attack in a simulation.
+//! small neural networks from scratch, the bit-exact slice [`kernels`]
+//! behind them, and deterministic random-number utilities ([`rng`]) used to
+//! fan a single experiment seed out to every client, server and attack in a
+//! simulation.
 //!
 //! # Example
 //!
@@ -20,16 +21,17 @@
 //! # Ok::<(), fedms_tensor::TensorError>(())
 //! ```
 
-pub mod backend;
+mod backend;
 mod conv;
 mod error;
+pub mod kernels;
 mod ops;
 pub mod pool;
 pub mod rng;
 mod shape;
 mod tensor;
 
-pub use backend::{Backend, BackendHandle, BackendKind};
+pub use backend::BackendKind;
 pub use conv::{col2im, im2col, Conv2dGeometry};
 pub use error::TensorError;
 pub use shape::Shape;

@@ -1,11 +1,9 @@
 //! Linear algebra and reduction operations on [`Tensor`].
 //!
-//! The matmul-family entry points validate shapes here and delegate their
-//! inner loops to a [`BackendHandle`] — by default the scalar reference
-//! backend, whose kernels are the original loop bodies moved verbatim. The
-//! `*_on` variants accept an explicit backend for optimized execution.
+//! The matmul-family entry points validate shapes here and run their inner
+//! loops in [`crate::kernels`].
 
-use crate::{BackendHandle, Tensor, TensorError};
+use crate::{kernels, Tensor, TensorError};
 
 /// `rows · cols` with overflow detection: degenerate shapes such as
 /// `(2³³ × 0) · (0 × 2³³)` are valid inputs whose *output* volume exceeds
@@ -21,35 +19,24 @@ impl Tensor {
     // Linear algebra (rank-2)
     // ------------------------------------------------------------------
 
-    /// Matrix product of two rank-2 tensors: `(m×k) · (k×n) → (m×n)` on the
-    /// default (scalar) backend.
+    /// Matrix product of two rank-2 tensors: `(m×k) · (k×n) → (m×n)`.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::RankMismatch`] for non-matrices and
     /// [`TensorError::MatmulDimMismatch`] if the inner dimensions disagree.
     pub fn matmul(&self, other: &Tensor) -> Result<Tensor, TensorError> {
-        self.matmul_on(other, BackendHandle::scalar())
-    }
-
-    /// [`Tensor::matmul`] on an explicit backend.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Tensor::matmul`].
-    pub fn matmul_on(&self, other: &Tensor, backend: BackendHandle) -> Result<Tensor, TensorError> {
         let (m, k) = self.matrix_dims()?;
         let (k2, n) = other.matrix_dims()?;
         if k != k2 {
             return Err(TensorError::MatmulDimMismatch { left: (m, k), right: (k2, n) });
         }
         let mut out = vec![0.0f32; checked_out_len(m, n)?];
-        backend.matmul(self.as_slice(), other.as_slice(), &mut out, m, k, n);
+        kernels::matmul(self.as_slice(), other.as_slice(), &mut out, m, k, n);
         Tensor::from_vec(out, &[m, n])
     }
 
-    /// `self · otherᵀ` for rank-2 tensors: `(m×k) · (n×k)ᵀ → (m×n)` on the
-    /// default (scalar) backend.
+    /// `self · otherᵀ` for rank-2 tensors: `(m×k) · (n×k)ᵀ → (m×n)`.
     ///
     /// Equals `self.matmul(&other.transposed()?)` for finite inputs
     /// without materialising the transpose; every `Linear` forward and
@@ -62,57 +49,30 @@ impl Tensor {
     /// Returns [`TensorError::RankMismatch`] for non-matrices and
     /// [`TensorError::MatmulDimMismatch`] if the shared dimension disagrees.
     pub fn matmul_transb(&self, other: &Tensor) -> Result<Tensor, TensorError> {
-        self.matmul_transb_on(other, BackendHandle::scalar())
-    }
-
-    /// [`Tensor::matmul_transb`] on an explicit backend.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Tensor::matmul_transb`].
-    pub fn matmul_transb_on(
-        &self,
-        other: &Tensor,
-        backend: BackendHandle,
-    ) -> Result<Tensor, TensorError> {
         let (m, k) = self.matrix_dims()?;
         let (n, k2) = other.matrix_dims()?;
         if k != k2 {
             return Err(TensorError::MatmulDimMismatch { left: (m, k), right: (k2, n) });
         }
         let mut out = vec![0.0f32; checked_out_len(m, n)?];
-        backend.matmul_transb(self.as_slice(), other.as_slice(), &mut out, m, k, n);
+        kernels::matmul_transb(self.as_slice(), other.as_slice(), &mut out, m, k, n);
         Tensor::from_vec(out, &[m, n])
     }
 
-    /// `selfᵀ · other` for rank-2 tensors: `(k×m)ᵀ · (k×n) → (m×n)` on the
-    /// default (scalar) backend.
+    /// `selfᵀ · other` for rank-2 tensors: `(k×m)ᵀ · (k×n) → (m×n)`.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::RankMismatch`] for non-matrices and
     /// [`TensorError::MatmulDimMismatch`] if the shared dimension disagrees.
     pub fn matmul_transa(&self, other: &Tensor) -> Result<Tensor, TensorError> {
-        self.matmul_transa_on(other, BackendHandle::scalar())
-    }
-
-    /// [`Tensor::matmul_transa`] on an explicit backend.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Tensor::matmul_transa`].
-    pub fn matmul_transa_on(
-        &self,
-        other: &Tensor,
-        backend: BackendHandle,
-    ) -> Result<Tensor, TensorError> {
         let (k, m) = self.matrix_dims()?;
         let (k2, n) = other.matrix_dims()?;
         if k != k2 {
             return Err(TensorError::MatmulDimMismatch { left: (m, k), right: (k2, n) });
         }
         let mut out = vec![0.0f32; checked_out_len(m, n)?];
-        backend.matmul_transa(self.as_slice(), other.as_slice(), &mut out, m, k, n);
+        kernels::matmul_transa(self.as_slice(), other.as_slice(), &mut out, m, k, n);
         Tensor::from_vec(out, &[m, n])
     }
 
@@ -313,19 +273,6 @@ mod tests {
         // does not.
         assert!(matches!(checked_out_len(huge, huge), Err(TensorError::Invalid(_))));
         assert_eq!(checked_out_len(huge, 0).unwrap(), 0);
-    }
-
-    #[test]
-    fn on_variants_match_default_backend() {
-        use crate::BackendHandle;
-        let a = mat(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], 2, 3);
-        let b = mat(&[7.0, 8.0, 9.0, 10.0, 11.0, 12.0], 3, 2);
-        let h = BackendHandle::scalar();
-        assert_eq!(a.matmul_on(&b, h).unwrap(), a.matmul(&b).unwrap());
-        let bt = mat(&[1.0, 0.5, -1.0, 2.0, 0.0, 3.0], 2, 3);
-        assert_eq!(a.matmul_transb_on(&bt, h).unwrap(), a.matmul_transb(&bt).unwrap());
-        let at = mat(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], 3, 2);
-        assert_eq!(at.matmul_transa_on(&b, h).unwrap(), at.matmul_transa(&b).unwrap());
     }
 
     #[test]

@@ -1,14 +1,13 @@
-//! Bit-exactness of the scalar backend's three GEMMs against the loops they
-//! replaced.
+//! Bit-exactness of the three GEMM kernels against the loops they replaced.
 //!
-//! The scalar backend is the deterministic oracle, so a change to one of
-//! its kernels may alter the loop nest but not any output element's f32
+//! The kernels are the deterministic oracle, so a change to one of them
+//! may alter the loop nest but not any output element's f32
 //! operation sequence: the same start value, the same terms in the same `k`
 //! order, and the same skip (for `matmul` and `matmul_transa`) or the same
 //! lack of skip (for `matmul_transb`) of terms whose `a` coefficient
 //! compares equal to zero. The row-at-a-time loops below are the reference.
 //!
-//! `matmul` and `matmul_transa` are compared bit for bit with the backend
+//! `matmul` and `matmul_transa` are compared bit for bit with the kernels
 //! over every `n` from 0 to 100 (so every register-block width and
 //! remainder occurs), `k` of 0, 1 and larger, output buffers that start at
 //! arbitrary values (both zeros included), exact `±0.0` coefficients, and
@@ -24,12 +23,12 @@
 //! not specified (the compiler may swap the operands of a commutative
 //! operation), so those cases count any two NaNs as equal.
 
+use fedms_tensor::kernels;
 use fedms_tensor::rng::rng_for;
-use fedms_tensor::BackendHandle;
 use rand::rngs::StdRng;
 use rand::Rng;
 
-/// `out += a · b` for `a: (m×k)`, `b: (k×n)`, as the scalar backend
+/// `out += a · b` for `a: (m×k)`, `b: (k×n)`, as [`kernels::matmul`]
 /// computed it before its rows were register-blocked.
 fn reference_matmul(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     for i in 0..m {
@@ -47,8 +46,9 @@ fn reference_matmul(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n
     }
 }
 
-/// `out += aᵀ · b` for `a: (k×m)`, `b: (k×n)`, as the scalar backend
-/// computed it before its rows were register-blocked.
+/// `out += aᵀ · b` for `a: (k×m)`, `b: (k×n)`, as
+/// [`kernels::matmul_transa`] computed it before its rows were
+/// register-blocked.
 fn reference_matmul_transa(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     for kk in 0..k {
         let arow = &a[kk * m..(kk + 1) * m];
@@ -65,8 +65,9 @@ fn reference_matmul_transa(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: u
     }
 }
 
-/// `out = a · bᵀ` for `a: (m×k)`, `b: (n×k)`, as the scalar backend
-/// computed it before it packed Bᵀ: one dot product per output.
+/// `out = a · bᵀ` for `a: (m×k)`, `b: (n×k)`, as
+/// [`kernels::matmul_transb`] computed it before it packed Bᵀ: one dot
+/// product per output.
 fn reference_matmul_transb(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     for i in 0..m {
         let arow = &a[i * k..(i + 1) * k];
@@ -142,7 +143,6 @@ fn depths(rng: &mut StdRng) -> [usize; 4] {
 
 #[test]
 fn matmul_matches_the_row_at_a_time_loops_bit_for_bit() {
-    let backend = BackendHandle::scalar();
     let mut rng = rng_for(0x5CA1, &[0]);
     for n in 0..=100 {
         for k in depths(&mut rng) {
@@ -151,7 +151,7 @@ fn matmul_matches_the_row_at_a_time_loops_bit_for_bit() {
             let mut want = case.out.clone();
             reference_matmul(&case.a, &case.b, &mut want, m, k, n);
             let mut got = case.out.clone();
-            backend.matmul(&case.a, &case.b, &mut got, m, k, n);
+            kernels::matmul(&case.a, &case.b, &mut got, m, k, n);
             assert_eq!(bits(&got), bits(&want), "matmul m={m} k={k} n={n}");
         }
     }
@@ -159,7 +159,6 @@ fn matmul_matches_the_row_at_a_time_loops_bit_for_bit() {
 
 #[test]
 fn matmul_transa_matches_the_row_at_a_time_loops_bit_for_bit() {
-    let backend = BackendHandle::scalar();
     let mut rng = rng_for(0x5CA1, &[1]);
     for n in 0..=100 {
         for k in depths(&mut rng) {
@@ -168,7 +167,7 @@ fn matmul_transa_matches_the_row_at_a_time_loops_bit_for_bit() {
             let mut want = case.out.clone();
             reference_matmul_transa(&case.a, &case.b, &mut want, m, k, n);
             let mut got = case.out.clone();
-            backend.matmul_transa(&case.a, &case.b, &mut got, m, k, n);
+            kernels::matmul_transa(&case.a, &case.b, &mut got, m, k, n);
             assert_eq!(bits(&got), bits(&want), "matmul_transa m={m} k={k} n={n}");
         }
     }
@@ -179,7 +178,6 @@ fn skipped_terms_keep_non_finite_rows_out_of_the_sum() {
     // A term with a ±0.0 coefficient is skipped, not multiplied: the
     // result stays finite although its `b` row holds inf and NaN, and an
     // output whose every term is skipped keeps its start value's sign.
-    let backend = BackendHandle::scalar();
     let (m, k, n) = (2, 3, 40);
     let mut b = vec![1.0f32; k * n];
     for (j, v) in b[n..2 * n].iter_mut().enumerate() {
@@ -187,13 +185,13 @@ fn skipped_terms_keep_non_finite_rows_out_of_the_sum() {
     }
     let a = [1.0, -0.0, 2.0, 0.0, 0.0, -0.0];
     let mut out = vec![-0.0f32; m * n];
-    backend.matmul(&a, &b, &mut out, m, k, n);
+    kernels::matmul(&a, &b, &mut out, m, k, n);
     assert!(out[..n].iter().all(|&v| v == 3.0), "row 0: {:?}", &out[..n]);
     assert_eq!(bits(&out[n..]), bits(&vec![-0.0f32; n]), "row 1 keeps -0.0");
 
     let at = [1.0, 0.0, -0.0, 0.0, 2.0, -0.0];
     let mut out = vec![-0.0f32; m * n];
-    backend.matmul_transa(&at, &b, &mut out, m, k, n);
+    kernels::matmul_transa(&at, &b, &mut out, m, k, n);
     assert!(out[..n].iter().all(|&v| v == 3.0), "row 0: {:?}", &out[..n]);
     assert_eq!(bits(&out[n..]), bits(&vec![-0.0f32; n]), "row 1 keeps -0.0");
 }
@@ -252,7 +250,6 @@ fn transb_depth(rng: &mut StdRng, class: usize) -> usize {
 
 #[test]
 fn matmul_transb_matches_the_dot_product_loop_bit_for_bit() {
-    let backend = BackendHandle::scalar();
     let mut rng = rng_for(0x5CA1, &[2]);
     let (mut finite, mut nan) = (0usize, 0usize);
     // Every `n` at each `m` up to 32; the 50 row tiles of `m = 200` (an
@@ -272,7 +269,7 @@ fn matmul_transb_matches_the_dot_product_loop_bit_for_bit() {
         let mut want = draw.out.clone();
         reference_matmul_transb(&draw.a, &draw.b, &mut want, m, k, n);
         let mut got = draw.out.clone();
-        backend.matmul_transb(&draw.a, &draw.b, &mut got, m, k, n);
+        kernels::matmul_transb(&draw.a, &draw.b, &mut got, m, k, n);
         for (idx, (g, w)) in got.iter().zip(&want).enumerate() {
             if non_finite && g.is_nan() && w.is_nan() {
                 nan += 1;
@@ -295,7 +292,6 @@ fn matmul_transb_matches_the_dot_product_loop_bit_for_bit() {
 fn transb_keeps_zero_terms_and_overwrites_the_output() {
     // Nothing is skipped: a ±0.0 coefficient over inf or NaN makes the
     // output NaN, and k = 0 writes +0.0 over whatever the buffer held.
-    let backend = BackendHandle::scalar();
     let (m, k, n) = (5, 3, 21);
     let a = [1.0, -0.0, 2.0].repeat(m);
     let mut b = vec![1.0f32; n * k];
@@ -303,7 +299,7 @@ fn transb_keeps_zero_terms_and_overwrites_the_output() {
         row[1] = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN, 1.0][j % 4];
     }
     let mut out = vec![-0.0f32; m * n];
-    backend.matmul_transb(&a, &b, &mut out, m, k, n);
+    kernels::matmul_transb(&a, &b, &mut out, m, k, n);
     for (idx, &v) in out.iter().enumerate() {
         if (idx % n) % 4 == 3 {
             assert_eq!(v, 3.0, "out[{idx}]");
@@ -312,6 +308,6 @@ fn transb_keeps_zero_terms_and_overwrites_the_output() {
         }
     }
     let mut out = vec![-1.5f32; m * n];
-    backend.matmul_transb(&[], &[], &mut out, m, 0, n);
+    kernels::matmul_transb(&[], &[], &mut out, m, 0, n);
     assert_eq!(bits(&out), bits(&vec![0.0f32; m * n]));
 }

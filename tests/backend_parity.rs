@@ -1,9 +1,9 @@
 //! Backend-parity suite.
 //!
-//! Bit-exactness of the default path: the `ScalarBackend` is the code that
-//! predates the backend abstraction, changed since only in loop nests that
-//! keep every output element's f32 operation sequence, so a full engine run
-//! must stay byte-identical to the pre-refactor engine. The digests below
+//! Bit-exactness of the default path: `fedms_tensor::kernels` holds the
+//! code that predates the backend abstraction, changed since only in loop
+//! nests that keep every output element's f32 operation sequence, so a full
+//! engine run must stay byte-identical to the pre-refactor engine. The digests below
 //! were recorded from the engine *before* the backend subsystem was
 //! introduced, so any arithmetic drift in the default path — reordered
 //! reductions, changed scratch-buffer contents, different iteration order —

@@ -6,7 +6,7 @@
 //! replaced, which is kept here as the reference: forward output,
 //! `grad_in`, `grad_weight` and `grad_bias`. The reference lowers with its
 //! own copies of the row-at-a-time `im2col`/`col2im` loops, so it does not
-//! share the backend's lowering under test. The cases are random
+//! share the kernels' lowering under test. The cases are random
 //! geometries (kernel 1/3, stride 1/2, padding 0/1, planes 2×2 to 9×9,
 //! batch 1–5), with gradients holding the exact zeros (both signs) that
 //! ReLU6 gating produces, and MobileNetNano's own conv shapes at batch 32.
@@ -25,7 +25,7 @@
 
 use fedms::nn::{Conv2d, DepthwiseConv2d, Layer};
 use fedms::tensor::rng::rng_for;
-use fedms::tensor::{BackendHandle, Conv2dGeometry, Tensor};
+use fedms::tensor::{kernels, Conv2dGeometry, Tensor};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -117,7 +117,6 @@ fn reference_conv_step(
     oc: usize,
 ) -> Outputs {
     let Reference { w, b, grad_w, grad_b } = r;
-    let sc = BackendHandle::scalar();
     let (rows, plane, vol) = (g.col_rows(), g.col_cols(), g.input_volume());
     let batch = x.len() / vol;
     let mut out = vec![0.0f32; batch * oc * plane];
@@ -126,7 +125,7 @@ fn reference_conv_step(
         let mut cols = vec![0.0f32; rows * plane];
         reference_im2col(&x[s * vol..(s + 1) * vol], g, &mut cols);
         let mut y = vec![0.0f32; oc * plane];
-        sc.matmul(w, &cols, &mut y, oc, rows, plane);
+        kernels::matmul(w, &cols, &mut y, oc, rows, plane);
         for o in 0..oc {
             for j in 0..plane {
                 out[(s * oc + o) * plane + j] = y[o * plane + j] + b[o];
@@ -134,7 +133,7 @@ fn reference_conv_step(
         }
         let gos = &go[s * oc * plane..(s + 1) * oc * plane];
         let mut dw = vec![0.0f32; oc * rows];
-        sc.matmul_transb(gos, &cols, &mut dw, oc, plane, rows);
+        kernels::matmul_transb(gos, &cols, &mut dw, oc, plane, rows);
         for (gw, &v) in grad_w.iter_mut().zip(&dw) {
             *gw += v;
         }
@@ -142,7 +141,7 @@ fn reference_conv_step(
             grad_b[o] += gos[o * plane..(o + 1) * plane].iter().sum::<f32>();
         }
         let mut dcols = vec![0.0f32; rows * plane];
-        sc.matmul_transa(w, gos, &mut dcols, rows, oc, plane);
+        kernels::matmul_transa(w, gos, &mut dcols, rows, oc, plane);
         reference_col2im(&dcols, g, &mut grad_in[s * vol..(s + 1) * vol]);
     }
     (out, grad_in)
