@@ -4,8 +4,8 @@
 //! For a grid of (P, B) the binary draws honest scalar samples of standard
 //! deviation σ, lets an adversary replace B of them with worst-case values,
 //! and measures `E[(trmean_β{q} − µ)²]` against Lemma 2's `Pσ²/(P−2B)²`
-//! bound. Shape to reproduce: the measured error never exceeds the bound
-//! and grows as B approaches P/2.
+//! bound. Shape to reproduce: the measured error grows as B approaches
+//! P/2 and never exceeds the bound; the binary counts the rows that do.
 //!
 //! Usage: `cargo run --release -p fedms-bench --bin lemma2`
 
@@ -61,7 +61,11 @@ fn main() -> Result<()> {
         );
         rows.push(Lemma2Row { p, b, measured_mse: mse, bound, within });
     }
-    println!("\n(shape check: error grows as B -> P/2; bound always holds)");
+    let exceeded = rows.iter().filter(|row| !row.within).count();
+    println!(
+        "\n(shape check: error grows as B -> P/2; {exceeded} of {} (P, B) rows exceed the bound)",
+        rows.len()
+    );
     save_json("lemma2", &rows);
     Ok(())
 }

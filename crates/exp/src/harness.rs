@@ -1,10 +1,8 @@
-//! Shared harness helpers: the environment knobs and Table-II defaults the
-//! per-figure bench binaries all honour.
+//! Shared harness helpers: the environment knobs sweeps honour and the
+//! Table-II defaults the `table2` bench binary prints.
 //!
-//! These used to be copy-pasted across `crates/bench`; they live here now
-//! so the spec runner, the CLI and every bench binary read the environment
-//! the same way, through one strict parser ([`HarnessEnv`]).
-//! `fedms-bench` re-exports them unchanged.
+//! The spec runner, the CLI and the bench binaries read the environment the
+//! same way, through one strict parser ([`HarnessEnv`]).
 
 use std::fmt;
 
@@ -136,16 +134,6 @@ impl HarnessEnv {
 /// Returns an [`EnvError`] if a harness variable does not parse.
 pub fn rounds_from_env() -> std::result::Result<usize, EnvError> {
     Ok(HarnessEnv::from_env()?.rounds_or(DEFAULT_ROUNDS))
-}
-
-/// Experiment seeds requested via `FEDMS_SEEDS` (comma-separated), default
-/// `[42]`.
-///
-/// # Errors
-///
-/// Returns an [`EnvError`] if a harness variable does not parse.
-pub fn seeds_from_env() -> std::result::Result<Vec<u64>, EnvError> {
-    Ok(HarnessEnv::from_env()?.seeds.unwrap_or_else(|| vec![42]))
 }
 
 /// Worker-thread count requested via `FEDMS_THREADS`, defaulting to the

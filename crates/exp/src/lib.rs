@@ -17,6 +17,10 @@
 //!    same spec (or `--resume <run-id>`) skips every trial whose completed
 //!    record is already on disk, and long trials additionally checkpoint
 //!    mid-flight through the engine's [`fedms_sim::Snapshot`].
+//! 4. **Results and their table** ([`SweepResults`], [`render_table`]): a
+//!    finished sweep's records land in the provenance-stamped
+//!    `results/<name>.json`, and one markdown row per grid cell is
+//!    rendered from them.
 //!
 //! The headline invariant is **determinism**: a trial's record is a pure
 //! function of its config and seed, so a sweep at `--threads 8` writes
@@ -24,11 +28,13 @@
 //! interrupted-and-resumed or not. `tests/sweep.rs` enforces this by
 //! proptest.
 //!
-//! Checked-in specs for the paper's figures live under `experiments/`; run
-//! one with:
+//! Every engine experiment of the reproduction is a checked-in spec under
+//! `experiments/`; run one, which ends by writing `results/fig3.json` and
+//! printing its table, with:
 //!
 //! ```text
 //! fedms exp run experiments/fig3.toml --threads 8
+//! fedms exp report results/fig3.json
 //! ```
 //!
 //! [`FedMsConfig`]: fedms_core::FedMsConfig
@@ -42,11 +48,9 @@ mod store;
 pub mod toml;
 mod trial;
 
-pub use harness::{
-    harness_defaults, rounds_from_env, seeds_from_env, threads_from_env, EnvError, HarnessEnv,
-};
+pub use harness::{harness_defaults, rounds_from_env, threads_from_env, EnvError, HarnessEnv};
 pub use provenance::{save_json, save_json_stamped_in, Provenance};
-pub use report::{average_points, panels, print_series_table, Series};
+pub use report::{render_table, SweepResults};
 pub use scheduler::{run_sweep, run_sweep_with, Progress, SweepReport};
 pub use spec::{Scale, SpecError, SweepSpec};
 pub use store::{git_rev, ManifestTrial, RunManifest, RunStore};
@@ -117,28 +121,6 @@ pub fn run_spec_in(
         .map_err(|e| SpecError(format!("write manifest: {e}")))?;
     let report = run_sweep(&trials, &store, threads, on_progress).map_err(SpecError)?;
     Ok((spec, store, report))
-}
-
-/// [`run_spec_in`] with the conventional store location `results/runs/`,
-/// the `FEDMS_THREADS`/available-parallelism thread count, and progress
-/// printed to stdout. The entry point for the figure binaries.
-///
-/// # Errors
-///
-/// As [`run_spec_in`].
-pub fn run_spec(source: &str) -> Result<(SweepSpec, SweepReport), SpecError> {
-    let threads = threads_from_env()?;
-    let (spec, store, report) =
-        run_spec_in(source, Path::new("results/runs"), None, threads, print_progress)?;
-    println!(
-        "sweep `{}`: {} executed, {} skipped, {} failed -> {}",
-        spec.name,
-        report.executed,
-        report.skipped,
-        report.failed,
-        store.root().display()
-    );
-    Ok((spec, report))
 }
 
 /// The default progress printer: one line per finished trial.

@@ -27,7 +27,7 @@ pub struct Provenance {
     pub git_rev: String,
     /// FNV-1a hash (16 hex digits) of the serialized payload.
     pub content_hash: String,
-    /// The producing binary or subsystem (e.g. `"fedms-bench/fig2"`).
+    /// The producing binary or subsystem (e.g. `"fedms exp run"`).
     pub tool: String,
 }
 

@@ -1,138 +1,118 @@
-//! Turning trial records back into figure series.
+//! Sweep results: the file a finished sweep leaves behind, and the table
+//! rendered from it.
 //!
-//! The figure binaries are thin wrappers: they run a checked-in spec and
-//! then use [`panels`] to regroup the flat record list into the paper's
-//! panel/series structure — one panel per value of one grid axis, one
-//! series per value of another, seeds averaged point-wise.
+//! `fedms exp run` writes a [`SweepResults`] — the spec's name and hash and
+//! every [`TrialRecord`] in trial order — as the provenance-stamped
+//! `results/<name>.json`. Each record names its seed and config hash, so
+//! the file alone ties every number to the spec that produced it.
+//! [`render_table`] turns the records into one markdown row per grid cell,
+//! keyed by the spec's own axis values: the table `fedms exp run` prints
+//! and `fedms exp report` prints again from a committed file.
 
+use crate::provenance::{save_json_stamped_in, Provenance};
 use crate::trial::TrialRecord;
-use serde::Serialize;
+use fedms_sim::CommStats;
+use serde::{Deserialize, Serialize};
+use std::fmt::Write;
+use std::io;
+use std::path::{Path, PathBuf};
 
-/// One labelled accuracy curve: `(round, accuracy)` points.
-#[derive(Debug, Clone, Serialize)]
-pub struct Series {
-    /// Curve label (e.g. `"trimmed:0.2"`).
-    pub label: String,
-    /// `(round, mean accuracy)` points.
-    pub points: Vec<(usize, f32)>,
+/// A finished sweep, as `results/<name>.json` holds it under its
+/// [`Provenance`] stamp.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct SweepResults {
+    /// The spec's `[experiment] name`.
+    pub name: String,
+    /// [`SweepSpec::spec_hash`](crate::SweepSpec::spec_hash) of the spec
+    /// source.
+    pub spec_hash: String,
+    /// Every trial's record, in trial order.
+    pub records: Vec<TrialRecord>,
 }
 
-impl Series {
-    /// The accuracy at the last recorded round.
-    pub fn final_accuracy(&self) -> Option<f32> {
-        self.points.last().map(|&(_, a)| a)
+/// The stamped file: the payload under its provenance block.
+#[derive(Deserialize)]
+struct Stamped {
+    provenance: Provenance,
+    data: SweepResults,
+}
+
+impl SweepResults {
+    /// Writes `dir/<name>-<hash8>.json` and points `dir/<name>.json` at it
+    /// (see [`save_json_stamped_in`]). Returns the artifact path.
+    ///
+    /// # Errors
+    ///
+    /// Propagates serialization and I/O failures.
+    pub fn save_in(&self, dir: &Path) -> io::Result<PathBuf> {
+        save_json_stamped_in(dir, &self.name, self, "fedms exp run")
+    }
+
+    /// Reads a results file written by [`SweepResults::save_in`].
+    ///
+    /// # Errors
+    ///
+    /// Names the path when it cannot be read or does not parse.
+    pub fn load(path: &Path) -> Result<(Provenance, SweepResults), String> {
+        let body = std::fs::read_to_string(path)
+            .map_err(|e| format!("could not read {}: {e}", path.display()))?;
+        let stamped: Stamped = serde_json::from_str(&body)
+            .map_err(|e| format!("could not parse {}: {e}", path.display()))?;
+        Ok((stamped.provenance, stamped.data))
     }
 }
 
-/// Averages several point series point-wise (they share the round grid by
-/// construction: same config modulo seed).
-pub fn average_points(runs: &[&[(usize, f32)]]) -> Vec<(usize, f32)> {
-    let Some(first) = runs.first() else { return Vec::new() };
-    let mut acc: Vec<(usize, f64)> = first.iter().map(|&(r, a)| (r, f64::from(a))).collect();
-    for run in &runs[1..] {
-        for (slot, &(r, a)) in acc.iter_mut().zip(run.iter()) {
-            debug_assert_eq!(slot.0, r);
-            slot.1 += f64::from(a);
-        }
-    }
-    let n = runs.len() as f64;
-    acc.into_iter().map(|(r, a)| (r, (a / n) as f32)).collect()
-}
-
-fn axis_value<'r>(record: &'r TrialRecord, key: &str) -> Option<&'r str> {
-    record.axes.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
-}
-
-/// Groups completed records into `(panel value, series list)` pairs.
-///
-/// `panel_key` and `series_key` name grid axes; records are grouped by
-/// their `panel_key` value (first-seen order), then within each panel by
-/// their `series_key` value, averaging across seeds. Pass `panel_key = ""`
-/// for a single unnamed panel. Failed records and records missing either
-/// axis are skipped — a partially-failed sweep still yields its surviving
-/// curves.
-pub fn panels(
-    records: &[TrialRecord],
-    panel_key: &str,
-    series_key: &str,
-) -> Vec<(String, Vec<Series>)> {
-    // Records grouped by series value, nested under their panel value.
-    type SeriesGroup<'r> = Vec<(String, Vec<&'r TrialRecord>)>;
-    let mut out: Vec<(String, SeriesGroup)> = Vec::new();
+/// Renders records as a markdown table: one row per grid cell, in
+/// first-seen (expansion) order, with the cell's axis values, the number of
+/// completed seeds, their mean final accuracy and min–max, and the mean
+/// upload messages and MiB per round from `comm`. A trial's round count is
+/// its last evaluated round plus one (the engine always evaluates the
+/// final round). Failed records are left out.
+pub fn render_table(records: &[TrialRecord]) -> String {
+    let mut cells: Vec<Vec<&TrialRecord>> = Vec::new();
     for record in records.iter().filter(|r| r.is_completed()) {
-        let panel = if panel_key.is_empty() { Some("") } else { axis_value(record, panel_key) };
-        let (Some(panel), Some(series)) = (panel, axis_value(record, series_key)) else {
-            continue;
-        };
-        let panel_slot = match out.iter_mut().find(|(p, _)| p == panel) {
-            Some(slot) => slot,
-            None => {
-                out.push((panel.to_string(), Vec::new()));
-                out.last_mut().expect("just pushed")
-            }
-        };
-        let series = series.to_string();
-        match panel_slot.1.iter_mut().find(|(s, _)| *s == series) {
-            Some((_, records)) => records.push(record),
-            None => panel_slot.1.push((series, vec![record])),
+        match cells.iter_mut().find(|group| group[0].axes == record.axes) {
+            Some(group) => group.push(record),
+            None => cells.push(vec![record]),
         }
     }
-    out.into_iter()
-        .map(|(panel, series)| {
-            let series = series
-                .into_iter()
-                .map(|(label, records)| {
-                    let runs: Vec<&[(usize, f32)]> =
-                        records.iter().map(|r| r.points.as_slice()).collect();
-                    Series { label, points: average_points(&runs) }
+    let mut out = String::new();
+    let axes = cells.first().map_or(&[][..], |group| &group[0].axes);
+    for (key, _) in axes {
+        let _ = write!(out, "| {key} ");
+    }
+    out.push_str("| seeds | final acc | seed range | up msg/round | up MiB/round |\n");
+    out.push_str(&"|---".repeat(axes.len()));
+    out.push_str("|---:|---:|---:|---:|---:|\n");
+    for group in &cells {
+        for (_, value) in &group[0].axes {
+            let _ = write!(out, "| {value} ");
+        }
+        let n = group.len() as f64;
+        let finals: Vec<f64> =
+            group.iter().map(|r| 100.0 * f64::from(r.final_accuracy.unwrap_or(f32::NAN))).collect();
+        let lo = finals.iter().copied().fold(f64::INFINITY, f64::min);
+        let hi = finals.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let per_round = |count: fn(&CommStats) -> u64| {
+            group
+                .iter()
+                .map(|r| {
+                    let rounds = r.points.last().map_or(1, |&(round, _)| round + 1);
+                    r.comm.as_ref().map_or(0, count) as f64 / rounds as f64
                 })
-                .collect();
-            (panel, series)
-        })
-        .collect()
-}
-
-/// Prints labelled curves as an aligned text table: one row per evaluated
-/// round, one column per series.
-pub fn print_series_table(title: &str, series: &[Series]) {
-    println!("\n== {title} ==");
-    if series.is_empty() {
-        println!("(no data)");
-        return;
+                .sum::<f64>()
+                / n
+        };
+        let _ = writeln!(
+            out,
+            "| {} | {:.1} % | {lo:.1}–{hi:.1} % | {:.1} | {:.2} |",
+            group.len(),
+            finals.iter().sum::<f64>() / n,
+            per_round(|c| c.upload_messages),
+            per_round(|c| c.upload_bytes) / (1024.0 * 1024.0),
+        );
     }
-    print!("{:>6}", "round");
-    for s in series {
-        print!(" {:>12}", truncate_label(&s.label, 12));
-    }
-    println!();
-    let rows = series.iter().map(|s| s.points.len()).max().unwrap_or(0);
-    for i in 0..rows {
-        let round = series.iter().find_map(|s| s.points.get(i).map(|&(r, _)| r)).unwrap_or(i);
-        print!("{round:>6}");
-        for s in series {
-            match s.points.get(i) {
-                Some(&(_, a)) => print!(" {:>12.3}", a),
-                None => print!(" {:>12}", "-"),
-            }
-        }
-        println!();
-    }
-    print!("{:>6}", "final");
-    for s in series {
-        match s.final_accuracy() {
-            Some(a) => print!(" {:>12.3}", a),
-            None => print!(" {:>12}", "-"),
-        }
-    }
-    println!();
-}
-
-fn truncate_label(label: &str, width: usize) -> String {
-    if label.chars().count() <= width {
-        label.to_string()
-    } else {
-        label.chars().take(width - 1).chain(std::iter::once('…')).collect()
-    }
+    out
 }
 
 #[cfg(test)]
@@ -141,6 +121,7 @@ mod tests {
     use crate::trial::TrialStatus;
 
     fn record(axes: &[(&str, &str)], seed: u64, points: Vec<(usize, f32)>) -> TrialRecord {
+        let rounds = points.last().map_or(0, |&(r, _)| r as u64 + 1);
         TrialRecord {
             trial_id: format!("t-{seed}-{}", axes.iter().map(|(_, v)| *v).collect::<String>()),
             label: String::new(),
@@ -150,59 +131,56 @@ mod tests {
             status: TrialStatus::Completed,
             final_accuracy: points.last().map(|&(_, a)| a),
             points,
-            comm: None,
+            comm: Some(CommStats {
+                upload_messages: 50 * rounds,
+                upload_bytes: 1024 * 1024 * rounds,
+                ..CommStats::default()
+            }),
         }
     }
 
     #[test]
-    fn series_final_accuracy() {
-        let s = Series { label: "x".into(), points: vec![(0, 0.1), (5, 0.9)] };
-        assert_eq!(s.final_accuracy(), Some(0.9));
-        let empty = Series { label: "y".into(), points: vec![] };
-        assert_eq!(empty.final_accuracy(), None);
-    }
-
-    #[test]
-    fn panels_group_and_average_seeds() {
+    fn one_row_per_cell_with_seeds_averaged() {
+        let noise_mean = [("attack", "noise"), ("filter", "mean")];
         let records = vec![
-            record(&[("attack", "noise"), ("filter", "mean")], 1, vec![(0, 0.2), (1, 0.4)]),
-            record(&[("attack", "noise"), ("filter", "mean")], 2, vec![(0, 0.4), (1, 0.6)]),
-            record(&[("attack", "noise"), ("filter", "trimmed:0.2")], 1, vec![(0, 0.5), (1, 0.7)]),
-            record(&[("attack", "zero"), ("filter", "mean")], 1, vec![(0, 0.1), (1, 0.2)]),
+            record(&noise_mean, 1, vec![(0, 0.2), (3, 0.5)]),
+            record(&noise_mean, 2, vec![(0, 0.4), (3, 0.75)]),
+            record(&[("attack", "noise"), ("filter", "trimmed:0.2")], 1, vec![(0, 0.5), (3, 0.7)]),
+            record(&[("attack", "zero"), ("filter", "mean")], 1, vec![(1, 0.25)]),
         ];
-        let panels = panels(&records, "attack", "filter");
-        assert_eq!(panels.len(), 2);
-        assert_eq!(panels[0].0, "noise");
-        assert_eq!(panels[0].1.len(), 2);
-        let mean = &panels[0].1[0];
-        assert_eq!(mean.label, "mean");
-        assert_eq!(mean.points, vec![(0, 0.3), (1, 0.5)], "seeds must average point-wise");
-        assert_eq!(panels[1].0, "zero");
+        assert_eq!(
+            render_table(&records),
+            "| attack | filter | seeds | final acc | seed range | up msg/round | up MiB/round |\n\
+             |---|---|---:|---:|---:|---:|---:|\n\
+             | noise | mean | 2 | 62.5 % | 50.0–75.0 % | 50.0 | 1.00 |\n\
+             | noise | trimmed:0.2 | 1 | 70.0 % | 70.0–70.0 % | 50.0 | 1.00 |\n\
+             | zero | mean | 1 | 25.0 % | 25.0–25.0 % | 50.0 | 1.00 |\n"
+        );
     }
 
     #[test]
     fn failed_records_are_skipped() {
-        let mut bad = record(&[("attack", "noise"), ("filter", "mean")], 1, vec![(0, 0.2)]);
+        let axes = [("filter", "mean")];
+        let mut bad = record(&axes, 1, vec![(0, 0.9)]);
         bad.status = TrialStatus::Failed { error: "boom".into() };
-        let good = record(&[("attack", "noise"), ("filter", "mean")], 2, vec![(0, 0.4)]);
-        let panels = panels(&[bad, good], "attack", "filter");
-        assert_eq!(panels[0].1[0].points, vec![(0, 0.4)]);
+        let table = render_table(&[bad, record(&axes, 2, vec![(0, 0.4)])]);
+        assert!(table.ends_with("| mean | 1 | 40.0 % | 40.0–40.0 % | 50.0 | 1.00 |\n"), "{table}");
     }
 
     #[test]
-    fn empty_panel_key_gives_single_panel() {
-        let records = vec![
-            record(&[("filter", "mean")], 1, vec![(0, 0.2)]),
-            record(&[("filter", "median")], 1, vec![(0, 0.3)]),
-        ];
-        let panels = panels(&records, "", "filter");
-        assert_eq!(panels.len(), 1);
-        assert_eq!(panels[0].1.len(), 2);
-    }
-
-    #[test]
-    fn truncate_label_width() {
-        assert_eq!(truncate_label("short", 12), "short");
-        assert_eq!(truncate_label("averyverylonglabel", 6).chars().count(), 6);
+    fn results_round_trip_through_the_stamped_file() {
+        let dir = std::env::temp_dir().join(format!("fedms-exp-results-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let results = SweepResults {
+            name: "fig9".into(),
+            spec_hash: "0123456789abcdef".into(),
+            records: vec![record(&[("filter", "mean")], 1, vec![(0, 0.4)])],
+        };
+        let artifact = results.save_in(&dir).unwrap();
+        let (provenance, back) = SweepResults::load(&dir.join("fig9.json")).unwrap();
+        assert_eq!(back, results);
+        assert_eq!(provenance.tool, "fedms exp run");
+        assert!(artifact.ends_with(format!("fig9-{}.json", &provenance.content_hash[..8])));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

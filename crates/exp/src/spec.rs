@@ -120,7 +120,7 @@ impl SweepSpec {
         let exp = doc.table("experiment").ok_or_else(|| bad("missing [experiment] table"))?;
         for entry in &exp.entries {
             match entry.key.as_str() {
-                "name" | "title" | "figure" | "seeds" | "rounds" | "scale" | "eval_every"
+                "name" | "title" | "seeds" | "rounds" | "scale" | "eval_every"
                 | "checkpoint_every" => {}
                 other => {
                     return Err(bad(format!(
@@ -497,6 +497,7 @@ filter = ["trimmed:matched", "mean"]
             ("[experiment]\nname = \"x\"\n[base]\nfilter = [\"mean\"]\n", "scalars"),
             ("[experiment]\nname = \"x\"\n[base]\nwat = 1\n", "unknown override key `wat`"),
             ("[experiment]\nname = \"x\"\n[weird]\na = 1\n", "unknown table"),
+            ("[experiment]\nname = \"x\"\nfigure = \"3\"\n", "unknown [experiment] key"),
             ("[experiment]\nname = \"x\"\nrounds = 0\n", "positive"),
             ("[experiment]\nname = \"x\"\nseeds = []\n", "seeds"),
             (

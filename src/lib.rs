@@ -23,8 +23,8 @@
 //! * [`core`] — the Fed-MS algorithm itself ([`FedMsConfig`]) and the
 //!   Theorem-1 theory module,
 //! * [`exp`] — declarative sweep specs (`experiments/*.toml`), the
-//!   work-stealing parallel scheduler and the resumable run store behind
-//!   `fedms exp run`.
+//!   work-stealing parallel scheduler, the resumable run store and the
+//!   results file and table behind `fedms exp run`.
 //!
 //! # Quickstart
 //!
@@ -41,9 +41,11 @@
 //! # Ok::<(), fedms::CoreError>(())
 //! ```
 //!
-//! Run `cargo run --release --example quickstart` for the end-to-end demo,
-//! and see `crates/bench/src/bin/` for the binaries that regenerate every
-//! table and figure of the paper.
+//! Run `cargo run --release --example quickstart` for the end-to-end demo.
+//! Every engine experiment of the paper is a spec under `experiments/`
+//! (`fedms exp run experiments/fig3.toml` writes `results/fig3.json` and
+//! prints its table); `crates/bench/src/bin/` holds the four artefacts that
+//! never run the engine (`fig4`, `table2`, `lemma2`, `theory`).
 
 pub use fedms_aggregation as aggregation;
 pub use fedms_attacks as attacks;

@@ -6,6 +6,7 @@
 //! fedms exp run <spec.toml>       run a declarative sweep spec in parallel
 //! fedms exp list <spec.toml>      print the trials a spec expands into
 //! fedms exp check <run-dir>       verify a run directory is complete
+//! fedms exp report <results.json> print a finished sweep's table
 //! fedms serve <addr>              play one parameter-server round over TCP
 //! fedms client <addr>             upload a model to a `fedms serve` round
 //! fedms attacks                   list server/client attack kinds
@@ -17,16 +18,17 @@
 //! and prints a summary table (final/best accuracy, convergence speed,
 //! bytes uploaded). `exp run` executes a sweep spec (see `experiments/`)
 //! on a work-stealing thread pool with a resumable run store under
-//! `results/runs/<run-id>/`.
+//! `results/runs/<run-id>/`, then writes `results/<name>.json` and prints
+//! its table.
 
-use fedms::exp::{SweepSpec, Trial, TrialStatus};
+use fedms::exp::{SweepResults, SweepSpec, Trial, TrialStatus};
 use fedms::sim::net::{run_client, TcpRound};
 use fedms::{AttackKind, ClientAttackKind, FedMsConfig, Snapshot, Tensor};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  fedms init-config <file.json>\n  fedms run [<file.json>] [--out <file>] [--rounds <n>] [--seed <n>] [--save-checkpoint <file>] [--resume <file>]\n            [--crash <n>] [--crash-round <r>] [--stragglers <n>] [--straggler-delay <r>]\n            [--downlink-omission <p>] [--duplicate-rate <p>]\n            [--retry-budget <n>] [--attempt-timeout <ms>] [--backoff-base <ms>]\n            [--failover] [--proceed-degraded]\n            [--transport <local|net>] [--net-profile <ideal|edge>]\n            [--threat-schedule <spec>] [--estimate-b] [--backend <scalar>]\n  fedms serve <addr> [--expect <n>]\n  fedms client <addr> [--client <id>] [--dim <n>] [--value <x>]\n  fedms exp run <spec.toml> [--threads <n>] [--resume <run-id>] [--out-dir <dir>] [--dry-run|--list]\n  fedms exp list <spec.toml>\n  fedms exp check <run-dir>\n  fedms compare <a.json> <b.json> [...]\n  fedms attacks\n  fedms filters\n\nfault flags inject benign server/link faults on top of the config's\nscenario; victims are sampled deterministically from the run seed.\nrecovery flags enable deadline-driven retries with seed-deterministic\nbackoff (--retry-budget), upload failover to alternate servers\n(--failover), and local continuation instead of aborting when a client's\nview still degrades below quorum (--proceed-degraded).\n\n--transport net runs the round loop over the concurrent NetTransport\n(versioned wire frames through an actor thread); --net-profile edge adds the\nedge-network latency/bandwidth model, making stragglers and deadline\nmisses emerge from the network itself. `serve` binds one TCP parameter\nserver for a single round (port 0 picks a free port) and `client`\nuploads to it over the same wire frames.\n\n--threat-schedule drives a dynamic threat timeline: epochs separated by\n';', each 'START..END: key=value, ...' with keys compromise=IDS,\nattack=NAME[:P[:P]], partition=IDS, corrupt=RATE (ids '|'-separated).\nExample: '50..80: compromise=1|3, attack=random:-10:10; 60..: partition=5'.\n--estimate-b turns on the online Byzantine-count estimator: the filter\nbecomes an adaptive trimmed mean driven by a per-round B-hat.\n--backend names the compute backend for client training; scalar, the\nbit-exact default, is the only one.\n\n`exp run` executes a declarative sweep spec (see experiments/*.toml) on a\nwork-stealing thread pool; records land in <out-dir>/<run-id>/ and a\nre-run (or --resume <run-id>) skips every already-completed trial."
+        "usage:\n  fedms init-config <file.json>\n  fedms run [<file.json>] [--out <file>] [--rounds <n>] [--seed <n>] [--save-checkpoint <file>] [--resume <file>]\n            [--crash <n>] [--crash-round <r>] [--stragglers <n>] [--straggler-delay <r>]\n            [--downlink-omission <p>] [--duplicate-rate <p>]\n            [--retry-budget <n>] [--attempt-timeout <ms>] [--backoff-base <ms>]\n            [--failover] [--proceed-degraded]\n            [--transport <local|net>] [--net-profile <ideal|edge>]\n            [--threat-schedule <spec>] [--estimate-b] [--backend <scalar>]\n  fedms serve <addr> [--expect <n>]\n  fedms client <addr> [--client <id>] [--dim <n>] [--value <x>]\n  fedms exp run <spec.toml> [--threads <n>] [--resume <run-id>] [--out-dir <dir>] [--dry-run|--list]\n  fedms exp list <spec.toml>\n  fedms exp check <run-dir>\n  fedms exp report <results.json>\n  fedms compare <a.json> <b.json> [...]\n  fedms attacks\n  fedms filters\n\nfault flags inject benign server/link faults on top of the config's\nscenario; victims are sampled deterministically from the run seed.\nrecovery flags enable deadline-driven retries with seed-deterministic\nbackoff (--retry-budget), upload failover to alternate servers\n(--failover), and local continuation instead of aborting when a client's\nview still degrades below quorum (--proceed-degraded).\n\n--transport net runs the round loop over the concurrent NetTransport\n(versioned wire frames through an actor thread); --net-profile edge adds the\nedge-network latency/bandwidth model, making stragglers and deadline\nmisses emerge from the network itself. `serve` binds one TCP parameter\nserver for a single round (port 0 picks a free port) and `client`\nuploads to it over the same wire frames.\n\n--threat-schedule drives a dynamic threat timeline: epochs separated by\n';', each 'START..END: key=value, ...' with keys compromise=IDS,\nattack=NAME[:P[:P]], partition=IDS, corrupt=RATE (ids '|'-separated).\nExample: '50..80: compromise=1|3, attack=random:-10:10; 60..: partition=5'.\n--estimate-b turns on the online Byzantine-count estimator: the filter\nbecomes an adaptive trimmed mean driven by a per-round B-hat.\n--backend names the compute backend for client training; scalar, the\nbit-exact default, is the only one.\n\n`exp run` executes a declarative sweep spec (see experiments/*.toml) on a\nwork-stealing thread pool; records land in <out-dir>/<run-id>/ and a\nre-run (or --resume <run-id>) skips every already-completed trial. When\nevery trial completed, it writes <name>.json next to <out-dir> (results/\nfor the default results/runs) and prints one table row per grid cell;\n`exp report` prints that table again from a results file."
     );
     ExitCode::FAILURE
 }
@@ -148,6 +150,7 @@ fn exp(args: &[String]) -> ExitCode {
         Some("run") => exp_run(&args[1..]),
         Some("list") => exp_list(&args[1..]),
         Some("check") => exp_check(&args[1..]),
+        Some("report") => exp_report(&args[1..]),
         _ => usage(),
     }
 }
@@ -231,6 +234,38 @@ fn exp_run(args: &[String]) -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
+    let results = SweepResults {
+        name: spec.name.clone(),
+        spec_hash: spec.spec_hash(),
+        records: report.records,
+    };
+    print!("{}", fedms::exp::render_table(&results.records));
+    // The default `results/runs` puts the results file in `results/`.
+    let results_dir = match std::path::Path::new(&out_dir).parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => std::path::Path::new("."),
+    };
+    let artifact = fail!(results
+        .save_in(results_dir)
+        .map_err(|e| format!("could not write the results of `{}`: {e}", spec.name)));
+    println!("results saved to {}", artifact.display());
+    ExitCode::SUCCESS
+}
+
+/// Prints the table of a results file written by `exp run`.
+fn exp_report(args: &[String]) -> ExitCode {
+    let Some(path) = args.first() else {
+        return usage();
+    };
+    let (provenance, results) = fail!(SweepResults::load(std::path::Path::new(path)));
+    println!(
+        "sweep `{}` (spec hash {}, git {}): {} trials",
+        results.name,
+        results.spec_hash,
+        provenance.git_rev,
+        results.records.len()
+    );
+    print!("{}", fedms::exp::render_table(&results.records));
     ExitCode::SUCCESS
 }
 

@@ -1,6 +1,7 @@
 //! End-to-end tests of the `fedms exp` subcommand: running the checked-in
-//! smoke spec writes a manifest and one record per trial, a re-run skips
-//! everything, and `exp check` validates the run directory.
+//! smoke spec writes a manifest, one record per trial and a results file,
+//! a re-run skips everything, `exp check` validates the run directory and
+//! `exp report` prints the results table.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -19,8 +20,9 @@ fn smoke_spec() -> PathBuf {
 
 #[test]
 fn exp_run_writes_manifest_and_records_then_resumes_and_checks() {
-    let out_dir = temp_dir("run");
-    let _ = std::fs::remove_dir_all(&out_dir);
+    let tmp = temp_dir("run");
+    let _ = std::fs::remove_dir_all(&tmp);
+    let out_dir = tmp.join("runs");
     let spec = smoke_spec();
 
     let out = fedms()
@@ -31,6 +33,16 @@ fn exp_run_writes_manifest_and_records_then_resumes_and_checks() {
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("2 executed, 0 skipped, 0 failed"), "unexpected summary: {stdout}");
+    let header = "| filter | seeds | final acc | seed range | up msg/round | up MiB/round |";
+    assert!(stdout.contains(header) && stdout.contains("| trimmed:0.25 | 1 |"), "{stdout}");
+
+    // The results file lands next to the run store, and reports its table.
+    let results = tmp.join("smoke.json");
+    assert!(results.is_file(), "no {}", results.display());
+    let out = fedms().args(["exp", "report", results.to_str().unwrap()]).output().unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let report = String::from_utf8_lossy(&out.stdout);
+    assert!(report.contains(header) && report.contains("| mean | 1 |"), "{report}");
 
     // One run directory with a manifest, the spec copy, and two records.
     let runs: Vec<_> = std::fs::read_dir(&out_dir).unwrap().map(|e| e.unwrap().path()).collect();
@@ -73,7 +85,7 @@ fn exp_run_writes_manifest_and_records_then_resumes_and_checks() {
     assert!(!out.status.success(), "check must fail on a missing record");
     assert!(String::from_utf8_lossy(&out.stdout).contains("[missing]"));
 
-    let _ = std::fs::remove_dir_all(&out_dir);
+    let _ = std::fs::remove_dir_all(&tmp);
 }
 
 #[test]
@@ -101,8 +113,9 @@ fn exp_run_rejects_bad_specs() {
 
 #[test]
 fn exp_run_rejects_malformed_harness_variables() {
-    let out_dir = temp_dir("env");
-    let _ = std::fs::remove_dir_all(&out_dir);
+    let tmp = temp_dir("env");
+    let _ = std::fs::remove_dir_all(&tmp);
+    let out_dir = tmp.join("runs");
     for (var, value) in [("FEDMS_SEEDS", "1,x,3"), ("FEDMS_ROUNDS", "6O"), ("FEDMS_THREADS", "abc")]
     {
         let out = fedms()
@@ -115,5 +128,5 @@ fn exp_run_rejects_malformed_harness_variables() {
         assert_eq!(out.status.code(), Some(1), "{var}={value}: {stderr}");
         assert!(stderr.contains(var) && stderr.contains(value), "{var}={value}: {stderr}");
     }
-    assert!(!out_dir.exists(), "no trial runs under a malformed variable");
+    assert!(!tmp.exists(), "no trial runs under a malformed variable");
 }
