@@ -1,14 +1,16 @@
 //! Table II: the summary of important experiment settings, printed from the
-//! harness's *actual* configuration (paper value → reproduction value, with
-//! the substitutions of DESIGN.md called out).
+//! reproduction's *actual* configuration, the Table II defaults evaluated
+//! every 3 rounds as the 60-round figure specs are (paper value →
+//! reproduction value, with the substitutions of DESIGN.md called out).
 //!
 //! Usage: `cargo run --release -p fedms-bench --bin table2`
 
-use fedms_bench::{harness_defaults, save_json};
-use fedms_core::Result;
+use fedms_bench::save_json;
+use fedms_core::{FedMsConfig, Result};
 
 fn main() -> Result<()> {
-    let cfg = harness_defaults(42)?;
+    let mut cfg = FedMsConfig::paper_defaults(42)?;
+    cfg.eval_every = 3;
     println!("Table II: important settings (paper -> this reproduction)");
     println!("{:<22} {:<28} reproduction", "setting", "paper");
     let rows: Vec<(&str, String, String)> = vec![

@@ -17,4 +17,4 @@
 
 pub mod perf;
 
-pub use fedms_exp::{harness_defaults, save_json};
+pub use fedms_exp::save_json;

@@ -138,9 +138,10 @@ pub struct FedMsConfig {
     #[serde(default)]
     pub estimator: EstimatorPolicy,
     /// The backend selection ([`fedms_tensor::BackendKind`]): `Scalar`, the
-    /// only value (spec key and `--backend` flag `backend`). Nothing reads
-    /// it; every client runs the kernels in `fedms_tensor::kernels`. It
-    /// stays because this config serialises it into every config hash.
+    /// only value, so no spec key or `fedms run` flag sets it; a JSON
+    /// config may name it. Nothing reads it; every client runs the kernels
+    /// in `fedms_tensor::kernels`. It stays because this config serialises
+    /// it into every config hash.
     #[serde(default)]
     pub backend: BackendKind,
 }

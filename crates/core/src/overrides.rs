@@ -10,7 +10,6 @@ use fedms_aggregation::EstimatorPolicy;
 use fedms_attacks::{AttackKind, ClientAttackKind};
 use fedms_nn::LrSchedule;
 use fedms_sim::{DegradedMode, NetModel, ThreatSchedule, UploadStrategy};
-use fedms_tensor::BackendKind;
 
 use crate::{CoreError, FedMsConfig, FilterKind, Result, TransportKind};
 
@@ -104,7 +103,6 @@ impl FedMsConfig {
                 self.estimator =
                     if parse(v)? { EstimatorPolicy::enabled() } else { EstimatorPolicy::default() };
             }
-            "backend" => self.backend = BackendKind::parse(v)?,
             "transport" => {
                 self.transport = match v {
                     "local" => TransportKind::Local,

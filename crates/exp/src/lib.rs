@@ -14,13 +14,18 @@
 //! 3. **A resumable run store** ([`RunStore`]): `results/runs/<run-id>/`
 //!    holds a manifest (spec hash, git rev, seed list, trial roster) and
 //!    one JSONL record per finished trial; a killed sweep re-run with the
-//!    same spec (or `--resume <run-id>`) skips every trial whose completed
-//!    record is already on disk, and long trials additionally checkpoint
-//!    mid-flight through the engine's [`fedms_sim::Snapshot`].
+//!    same spec skips every trial whose completed record is already on
+//!    disk, and long trials additionally checkpoint mid-flight through the
+//!    engine's [`fedms_sim::Snapshot`].
 //! 4. **Results and their table** ([`SweepResults`], [`render_table`]): a
 //!    finished sweep's records land in the provenance-stamped
 //!    `results/<name>.json`, and one markdown row per grid cell is
 //!    rendered from them.
+//!
+//! The spec file is the only input that decides a sweep's trials: no
+//! environment variable or flag changes them, so the run id
+//! `<name>-<spechash8>` and `results/<name>.json` always name the trials
+//! that ran.
 //!
 //! The headline invariant is **determinism**: a trial's record is a pure
 //! function of its config and seed, so a sweep at `--threads 8` writes
@@ -39,7 +44,6 @@
 //!
 //! [`FedMsConfig`]: fedms_core::FedMsConfig
 
-mod harness;
 mod provenance;
 mod report;
 mod scheduler;
@@ -48,7 +52,6 @@ mod store;
 pub mod toml;
 mod trial;
 
-pub use harness::{harness_defaults, rounds_from_env, threads_from_env, EnvError, HarnessEnv};
 pub use provenance::{save_json, save_json_stamped_in, Provenance};
 pub use report::{render_table, SweepResults};
 pub use scheduler::{run_sweep, run_sweep_with, Progress, SweepReport};
@@ -79,38 +82,32 @@ pub fn manifest_for(spec: &SweepSpec, run_id: &str, trials: &[Trial]) -> RunMani
     }
 }
 
-/// Parses `source`, applies the harness environment overrides, expands the
-/// grid, opens (or resumes) the run store under `base_dir`, and runs the
-/// sweep on `threads` workers.
-///
-/// `run_id` overrides the spec-derived directory name (the `--resume`
-/// path); when it names an existing run of a *different* spec, the call
-/// fails rather than mixing records.
+/// Parses `source`, expands the grid, opens (or resumes) the run store
+/// `<name>-<spechash8>` under `base_dir`, and runs the sweep on `threads`
+/// workers. A run directory whose manifest names a *different* spec is
+/// refused rather than mixed with this spec's records.
 ///
 /// # Errors
 ///
-/// Fails on spec errors, harness variables that do not parse, store I/O
-/// errors and spec-hash mismatches.
+/// Fails on spec errors, store I/O errors and spec-hash mismatches.
 /// Individual trial failures do not fail the sweep — they are reported in
 /// the returned [`SweepReport`].
 pub fn run_spec_in(
     source: &str,
     base_dir: &Path,
-    run_id: Option<&str>,
     threads: usize,
     on_progress: impl FnMut(&Progress),
 ) -> Result<(SweepSpec, RunStore, SweepReport), SpecError> {
-    let mut spec = SweepSpec::parse(source)?;
-    spec.apply_env(&HarnessEnv::from_env()?);
+    let spec = SweepSpec::parse(source)?;
     let trials = spec.expand()?;
-    let run_id = run_id.map_or_else(|| spec.default_run_id(), str::to_string);
+    let run_id = spec.default_run_id();
     let store = RunStore::create_or_open(base_dir, &run_id)
         .map_err(|e| SpecError(format!("open run store: {e}")))?;
     if let Ok(existing) = store.load_manifest() {
         if existing.spec_hash != spec.spec_hash() {
             return Err(SpecError(format!(
                 "run {run_id} was created from spec hash {} but this spec hashes to {} — \
-                 refusing to mix records (use a fresh run id or the matching spec)",
+                 refusing to mix records",
                 existing.spec_hash,
                 spec.spec_hash()
             )));

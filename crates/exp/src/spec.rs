@@ -7,8 +7,8 @@
 //! [experiment]           # run identity and global knobs
 //! name = "fig3"          # required; names the run directory
 //! title = "..."          # optional, printed at sweep start
-//! seeds = [42, 43]       # default [42]; FEDMS_SEEDS overrides
-//! rounds = 60            # default 60; FEDMS_ROUNDS / FEDMS_FAST override
+//! seeds = [42, 43]       # default [42]
+//! rounds = 60            # default 60
 //! scale = "paper"        # "paper" (Table II) or "tiny" (test scale)
 //! eval_every = 3         # default max(rounds/20, 1)
 //! checkpoint_every = 0   # engine snapshot cadence, 0 = off
@@ -30,8 +30,11 @@
 //! values are its compact `kind[:param[:param]]` strings; `trimmed:matched`
 //! resolves β = B/P per cell (the paper's matched trim rate),
 //! `adaptive:matched` resolves trim = B.
+//!
+//! The spec is the whole input: nothing outside its source changes the
+//! trials, so [`SweepSpec::default_run_id`], which hashes that source,
+//! names exactly the trials that run.
 
-use crate::harness::{EnvError, HarnessEnv};
 use crate::toml::{self, Value};
 use crate::trial::Trial;
 use fedms_core::{fnv1a64_hex, FedMsConfig};
@@ -49,12 +52,6 @@ impl fmt::Display for SpecError {
 }
 
 impl std::error::Error for SpecError {}
-
-impl From<EnvError> for SpecError {
-    fn from(e: EnvError) -> Self {
-        SpecError(e.to_string())
-    }
-}
 
 impl From<toml::TomlError> for SpecError {
     fn from(e: toml::TomlError) -> Self {
@@ -237,17 +234,6 @@ impl SweepSpec {
         // Surface bad cell values at parse time, not mid-sweep.
         spec.expand()?;
         Ok(spec)
-    }
-
-    /// Applies the harness environment overrides (see [`HarnessEnv`]):
-    /// `FEDMS_SEEDS` replaces the seed list, `FEDMS_ROUNDS` replaces the
-    /// round count, and `FEDMS_FAST=1` caps rounds at 10 (a smoke run
-    /// never runs *longer* than the spec asks).
-    pub fn apply_env(&mut self, env: &HarnessEnv) {
-        if let Some(seeds) = &env.seeds {
-            self.seeds = seeds.clone();
-        }
-        self.rounds = env.rounds_or(self.rounds);
     }
 
     /// The spec-source hash (16 hex digits) — the run's identity.
@@ -510,18 +496,6 @@ filter = ["trimmed:matched", "mean"]
             let e = SweepSpec::parse(text).unwrap_err();
             assert!(e.to_string().contains(needle), "{text:?} -> {e}");
         }
-    }
-
-    #[test]
-    fn env_overrides_guarded() {
-        let env = |vars: &[(&str, &str)]| HarnessEnv::from_vars(vars).unwrap();
-        let mut spec = SweepSpec::parse(FIG3ISH).unwrap();
-        spec.apply_env(&env(&[]));
-        assert_eq!((spec.seeds.clone(), spec.rounds), (vec![1, 2], 4));
-        spec.apply_env(&env(&[("FEDMS_SEEDS", "7,8,9"), ("FEDMS_ROUNDS", "30")]));
-        assert_eq!((spec.seeds.clone(), spec.rounds), (vec![7, 8, 9], 30));
-        spec.apply_env(&env(&[("FEDMS_FAST", "1")]));
-        assert_eq!(spec.rounds, 10);
     }
 
     #[test]

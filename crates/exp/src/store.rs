@@ -48,7 +48,7 @@ pub struct RunManifest {
     pub git_rev: String,
     /// The seed list the grid was crossed with.
     pub seeds: Vec<u64>,
-    /// Training rounds per trial (after env overrides).
+    /// Training rounds per trial.
     pub rounds: usize,
     /// The full trial roster, in execution order.
     pub trials: Vec<ManifestTrial>,

@@ -10,8 +10,7 @@
 //!    rest of the sweep completes.
 
 use fedms_exp::{
-    run_spec_in, run_sweep_with, HarnessEnv, Progress, RunStore, SweepSpec, Trial, TrialRecord,
-    TrialStatus,
+    run_spec_in, run_sweep_with, Progress, RunStore, SweepSpec, Trial, TrialRecord, TrialStatus,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -60,8 +59,7 @@ fn record_bytes(run_dir: &Path) -> BTreeMap<String, Vec<u8>> {
 }
 
 fn run_in(source: &str, base: &Path, threads: usize) -> PathBuf {
-    let (spec, store, report) =
-        run_spec_in(source, base, None, threads, |_| {}).expect("sweep runs");
+    let (spec, store, report) = run_spec_in(source, base, threads, |_| {}).expect("sweep runs");
     assert_eq!(report.failed, 0, "sweep `{}` had failed trials", spec.name);
     store.root().to_path_buf()
 }
@@ -112,7 +110,7 @@ fn resume_skips_completed_trials_and_matches_uninterrupted_run() {
 
     let mut started = Vec::new();
     let mut skipped = Vec::new();
-    let (_, store, report) = run_spec_in(&source, &resumed_base, None, 2, |p| match p {
+    let (_, store, report) = run_spec_in(&source, &resumed_base, 2, |p| match p {
         Progress::Started { trial_id, .. } => started.push(trial_id.clone()),
         Progress::Skipped { trial_id } => skipped.push(trial_id.clone()),
         Progress::Finished { .. } => {}
@@ -155,8 +153,7 @@ fn synthetic_record(trial: &Trial) -> TrialRecord {
 #[test]
 fn panicking_trial_is_isolated_and_retried_on_resume() {
     let source = tiny_spec(1, 1, "benign");
-    let mut spec = SweepSpec::parse(&source).expect("spec parses");
-    spec.apply_env(&HarnessEnv::from_env().expect("harness environment parses"));
+    let spec = SweepSpec::parse(&source).expect("spec parses");
     let trials = spec.expand().expect("spec expands");
     assert_eq!(trials.len(), 2);
     let poisoned = trials[0].id.clone();

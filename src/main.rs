@@ -28,7 +28,7 @@ use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  fedms init-config <file.json>\n  fedms run [<file.json>] [--out <file>] [--rounds <n>] [--seed <n>] [--save-checkpoint <file>] [--resume <file>]\n            [--crash <n>] [--crash-round <r>] [--stragglers <n>] [--straggler-delay <r>]\n            [--downlink-omission <p>] [--duplicate-rate <p>]\n            [--retry-budget <n>] [--attempt-timeout <ms>] [--backoff-base <ms>]\n            [--failover] [--proceed-degraded]\n            [--transport <local|net>] [--net-profile <ideal|edge>]\n            [--threat-schedule <spec>] [--estimate-b] [--backend <scalar>]\n  fedms serve <addr> [--expect <n>]\n  fedms client <addr> [--client <id>] [--dim <n>] [--value <x>]\n  fedms exp run <spec.toml> [--threads <n>] [--resume <run-id>] [--out-dir <dir>] [--dry-run|--list]\n  fedms exp list <spec.toml>\n  fedms exp check <run-dir>\n  fedms exp report <results.json>\n  fedms compare <a.json> <b.json> [...]\n  fedms attacks\n  fedms filters\n\nfault flags inject benign server/link faults on top of the config's\nscenario; victims are sampled deterministically from the run seed.\nrecovery flags enable deadline-driven retries with seed-deterministic\nbackoff (--retry-budget), upload failover to alternate servers\n(--failover), and local continuation instead of aborting when a client's\nview still degrades below quorum (--proceed-degraded).\n\n--transport net runs the round loop over the concurrent NetTransport\n(versioned wire frames through an actor thread); --net-profile edge adds the\nedge-network latency/bandwidth model, making stragglers and deadline\nmisses emerge from the network itself. `serve` binds one TCP parameter\nserver for a single round (port 0 picks a free port) and `client`\nuploads to it over the same wire frames.\n\n--threat-schedule drives a dynamic threat timeline: epochs separated by\n';', each 'START..END: key=value, ...' with keys compromise=IDS,\nattack=NAME[:P[:P]], partition=IDS, corrupt=RATE (ids '|'-separated).\nExample: '50..80: compromise=1|3, attack=random:-10:10; 60..: partition=5'.\n--estimate-b turns on the online Byzantine-count estimator: the filter\nbecomes an adaptive trimmed mean driven by a per-round B-hat.\n--backend names the compute backend for client training; scalar, the\nbit-exact default, is the only one.\n\n`exp run` executes a declarative sweep spec (see experiments/*.toml) on a\nwork-stealing thread pool; records land in <out-dir>/<run-id>/ and a\nre-run (or --resume <run-id>) skips every already-completed trial. When\nevery trial completed, it writes <name>.json next to <out-dir> (results/\nfor the default results/runs) and prints one table row per grid cell;\n`exp report` prints that table again from a results file."
+        "usage:\n  fedms init-config <file.json>\n  fedms run [<file.json>] [--out <file>] [--rounds <n>] [--seed <n>] [--save-checkpoint <file>] [--resume <file>]\n            [--crash <n>] [--crash-round <r>] [--stragglers <n>] [--straggler-delay <r>]\n            [--downlink-omission <p>] [--duplicate-rate <p>]\n            [--retry-budget <n>] [--attempt-timeout <ms>] [--backoff-base <ms>]\n            [--failover] [--proceed-degraded]\n            [--transport <local|net>] [--net-profile <ideal|edge>]\n            [--threat-schedule <spec>] [--estimate-b]\n  fedms serve <addr> [--expect <n>]\n  fedms client <addr> [--client <id>] [--dim <n>] [--value <x>]\n  fedms exp run <spec.toml> [--threads <n>] [--out-dir <dir>]\n  fedms exp list <spec.toml>\n  fedms exp check <run-dir>\n  fedms exp report <results.json>\n  fedms compare <a.json> <b.json> [...]\n  fedms attacks\n  fedms filters\n\nfault flags inject benign server/link faults on top of the config's\nscenario; victims are sampled deterministically from the run seed.\nrecovery flags enable deadline-driven retries with seed-deterministic\nbackoff (--retry-budget), upload failover to alternate servers\n(--failover), and local continuation instead of aborting when a client's\nview still degrades below quorum (--proceed-degraded).\n\n--transport net runs the round loop over the concurrent NetTransport\n(versioned wire frames through an actor thread); --net-profile edge adds the\nedge-network latency/bandwidth model, making stragglers and deadline\nmisses emerge from the network itself. `serve` binds one TCP parameter\nserver for a single round (port 0 picks a free port) and `client`\nuploads to it over the same wire frames.\n\n--threat-schedule drives a dynamic threat timeline: epochs separated by\n';', each 'START..END: key=value, ...' with keys compromise=IDS,\nattack=NAME[:P[:P]], partition=IDS, corrupt=RATE (ids '|'-separated).\nExample: '50..80: compromise=1|3, attack=random:-10:10; 60..: partition=5'.\n--estimate-b turns on the online Byzantine-count estimator: the filter\nbecomes an adaptive trimmed mean driven by a per-round B-hat.\n\n`exp run` executes a declarative sweep spec (see experiments/*.toml) on a\nwork-stealing thread pool (--threads defaults to the available cores);\nrecords land in <out-dir>/<name>-<spechash8>/ and a re-run skips every\nalready-completed trial. The spec alone decides the trials. When\nevery trial completed, it writes <name>.json next to <out-dir> (results/\nfor the default results/runs) and prints one table row per grid cell;\n`exp report` prints that table again from a results file."
     );
     ExitCode::FAILURE
 }
@@ -155,12 +155,11 @@ fn exp(args: &[String]) -> ExitCode {
     }
 }
 
-/// Parses a spec file, applies the harness env overrides, and expands it.
+/// Parses a spec file and expands it.
 fn load_spec(path: &str) -> Result<(SweepSpec, Vec<Trial>), String> {
     let source =
         std::fs::read_to_string(path).map_err(|e| format!("could not read {path}: {e}"))?;
-    let mut spec = SweepSpec::parse(&source).map_err(|e| format!("{path}: {e}"))?;
-    spec.apply_env(&fedms::exp::HarnessEnv::from_env().map_err(|e| e.to_string())?);
+    let spec = SweepSpec::parse(&source).map_err(|e| format!("{path}: {e}"))?;
     let trials = spec.expand().map_err(|e| format!("{path}: {e}"))?;
     Ok((spec, trials))
 }
@@ -181,17 +180,13 @@ fn print_trials(spec: &SweepSpec, trials: &[Trial]) {
 
 fn exp_run(args: &[String]) -> ExitCode {
     let mut spec_path: Option<&str> = None;
-    let mut threads: Option<usize> = None;
-    let mut resume: Option<&str> = None;
+    let mut threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut out_dir = "results/runs".to_string();
-    let mut dry_run = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--threads" => threads = Some(flag!(flag_parse(arg, &mut it))),
-            "--resume" => resume = Some(flag!(flag_value(arg, &mut it))),
+            "--threads" => threads = flag!(flag_parse(arg, &mut it)),
             "--out-dir" => out_dir = flag!(flag_value(arg, &mut it)).to_string(),
-            "--dry-run" | "--list" => dry_run = true,
             other if !other.starts_with("--") && spec_path.is_none() => spec_path = Some(other),
             other => {
                 eprintln!("error: unrecognised argument {other}");
@@ -202,20 +197,12 @@ fn exp_run(args: &[String]) -> ExitCode {
     let Some(spec_path) = spec_path else {
         return usage();
     };
-    if dry_run {
-        return exp_list(&[spec_path.to_string()]);
-    }
     let source =
         fail!(std::fs::read_to_string(spec_path)
             .map_err(|e| format!("could not read {spec_path}: {e}")));
-    let threads = match threads {
-        Some(threads) => threads,
-        None => fail!(fedms::exp::threads_from_env()),
-    };
     let (spec, store, report) = fail!(fedms::exp::run_spec_in(
         &source,
         std::path::Path::new(&out_dir),
-        resume,
         threads,
         fedms::exp::print_progress,
     ));
@@ -404,7 +391,6 @@ const RUN_FLAGS: &[(&str, &str, Option<&str>)] = &[
     ("--net-profile", "net_profile", None),
     ("--threat-schedule", "threat_schedule", None),
     ("--estimate-b", "estimate_b", Some("true")),
-    ("--backend", "backend", None),
 ];
 
 fn run(args: &[String]) -> ExitCode {

@@ -211,7 +211,6 @@ fn bad_or_missing_flag_values_exit_2_naming_flag_and_value() {
             &["run", "--threat-schedule", "1..: wat=3"][..],
             &["--threat-schedule", "\"1..: wat=3\""][..],
         ),
-        (&["run", "--backend", "blocked"][..], &["--backend", "\"blocked\""][..]),
     ] {
         let out = fedms().args(args).output().expect("binary runs");
         assert_eq!(out.status.code(), Some(2), "{args:?}");

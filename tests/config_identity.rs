@@ -364,8 +364,8 @@ const SPEC_PINS: &[(&str, &[(&str, &str)])] = &[
     (
         "threat.toml",
         &[
-            ("estimate-b-false-s42-048644ba", "048644ba7e8bfe31"),
-            ("estimate-b-true-s42-88a5c3e6", "88a5c3e6d4fb6374"),
+            ("estimate-b-false-s42-9df251ac", "9df251acbf9da916"),
+            ("estimate-b-true-s42-ff5a257b", "ff5a257b136a02cd"),
         ],
     ),
     (
@@ -424,7 +424,6 @@ const RUN_PINS: &[(&[&str], &str)] = &[
     (&["--transport", "net", "--net-profile", "edge"], "43fb59c607e1c943"),
     // A straggler count alone implies a one-round delay.
     (&["--stragglers", "1"], "73c4ed14405b9eb4"),
-    (&["--backend", "scalar"], "64691fe6a713e2e0"),
     (
         &["--threat-schedule", "0..: compromise=1, attack=noise:2", "--estimate-b"],
         "cd741e23f7a2b6b7",

@@ -1,7 +1,7 @@
 //! End-to-end tests of the `fedms exp` subcommand: running the checked-in
 //! smoke spec writes a manifest, one record per trial and a results file,
-//! a re-run skips everything, `exp check` validates the run directory and
-//! `exp report` prints the results table.
+//! a re-run skips everything, whatever the environment holds, `exp check`
+//! validates the run directory and `exp report` prints the results table.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -111,22 +111,43 @@ fn exp_run_rejects_bad_specs() {
     let _ = std::fs::remove_file(&bad);
 }
 
+/// The spec alone decides a sweep's trials: a second run from the same
+/// directory, with variables set that once rewrote the spec's rounds and
+/// seeds, skips every trial and leaves the results link where it was.
 #[test]
-fn exp_run_rejects_malformed_harness_variables() {
+fn exp_run_leaves_its_results_alone_whatever_the_environment() {
     let tmp = temp_dir("env");
     let _ = std::fs::remove_dir_all(&tmp);
-    let out_dir = tmp.join("runs");
-    for (var, value) in [("FEDMS_SEEDS", "1,x,3"), ("FEDMS_ROUNDS", "6O"), ("FEDMS_THREADS", "abc")]
-    {
+    std::fs::create_dir_all(tmp.join("experiments")).unwrap();
+    std::fs::copy(smoke_spec(), tmp.join("experiments/smoke.toml")).unwrap();
+    let run = |env: &[(&str, &str)]| {
         let out = fedms()
-            .args(["exp", "run", smoke_spec().to_str().unwrap()])
-            .args(["--out-dir", out_dir.to_str().unwrap()])
-            .env(var, value)
+            .args(["exp", "run", "experiments/smoke.toml"])
+            .current_dir(&tmp)
+            .envs(env.iter().copied())
             .output()
             .expect("binary runs");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{var}={value}: {stderr}");
-        assert!(stderr.contains(var) && stderr.contains(value), "{var}={value}: {stderr}");
-    }
-    assert!(!tmp.exists(), "no trial runs under a malformed variable");
+        assert!(out.status.success(), "{env:?}: {}", String::from_utf8_lossy(&out.stderr));
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let link = tmp.join("results/smoke.json");
+
+    let stdout = run(&[]);
+    assert!(stdout.contains("2 executed, 0 skipped, 0 failed"), "unexpected summary: {stdout}");
+    let target = std::fs::read_link(&link).expect("results/smoke.json is a link");
+
+    let stdout = run(&[
+        ("FEDMS_ROUNDS", "1"),
+        ("FEDMS_SEEDS", "9"),
+        ("FEDMS_FAST", "1"),
+        ("FEDMS_THREADS", "1"),
+    ]);
+    assert!(stdout.contains("0 executed, 2 skipped, 0 failed"), "unexpected summary: {stdout}");
+    assert_eq!(std::fs::read_link(&link).unwrap(), target);
+    let runs: Vec<_> =
+        std::fs::read_dir(tmp.join("results/runs")).unwrap().map(|e| e.unwrap().path()).collect();
+    assert_eq!(runs.len(), 1, "exactly one run id for the smoke spec");
+    assert_eq!(std::fs::read_dir(runs[0].join("trials")).unwrap().count(), 2);
+
+    let _ = std::fs::remove_dir_all(&tmp);
 }
